@@ -2,6 +2,7 @@ package client
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -195,13 +196,16 @@ func (c *Conn) writeLoop() {
 // readLoop routes replies to their waiting callers by request id.
 func (c *Conn) readLoop() {
 	defer close(c.done)
-	br := bufio.NewReaderSize(c.nc, 64<<10)
+	fr := proto.NewFrameReader(bufio.NewReaderSize(c.nc, 64<<10), proto.MaxPayload)
 	for {
-		f, err := proto.ReadFrame(br, proto.MaxPayload)
+		f, err := fr.Next()
 		if err != nil {
 			c.fail(fmt.Errorf("%w: read: %w", ErrConnClosed, err))
 			return
 		}
+		// The reader reuses its payload buffer and the caller keeps the
+		// reply past the next frame, so the caller gets a copy.
+		f.Payload = bytes.Clone(f.Payload)
 		c.mu.Lock()
 		ch, ok := c.pending[f.ID]
 		delete(c.pending, f.ID)

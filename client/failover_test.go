@@ -39,7 +39,10 @@ func startRoleServer(t *testing.T, readOnly bool) (addr string, srv *server.Serv
 }
 
 // TestConnErrNoHealthyConn severs every slot's transport and checks
-// Conn reports the typed sentinel instead of handing out a corpse.
+// Conn reports the typed sentinel instead of handing out a corpse. The
+// server stays up, so redials are held through the injected sleeper
+// until the test has seen every slot broken; releasing them must then
+// heal the pool.
 func TestConnErrNoHealthyConn(t *testing.T) {
 	addr, _, stop := startRoleServer(t, false)
 	defer stop()
@@ -48,6 +51,8 @@ func TestConnErrNoHealthyConn(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
+	release := make(chan struct{})
+	cl.sleep = func(time.Duration) { <-release }
 
 	if _, err := cl.Conn(); err != nil {
 		t.Fatalf("healthy pool: %v", err)
@@ -73,12 +78,19 @@ func TestConnErrNoHealthyConn(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	// The pool-level operations wrap the same sentinel (single-endpoint
-	// pool: no failover to mask it). The server is still up, so a
-	// background redial may heal a slot at any moment; either a typed
-	// error or a successful post-heal read is correct, anything else is
-	// a bug.
-	if _, _, err := cl.Get(1); err != nil && !errors.Is(err, ErrNoHealthyConn) {
-		t.Fatalf("Get err = %v, want ErrNoHealthyConn or success after heal", err)
+	// pool: no failover to mask it) while the redials are held.
+	if _, _, err := cl.Get(1); !errors.Is(err, ErrNoHealthyConn) {
+		t.Fatalf("Get err = %v, want ErrNoHealthyConn", err)
+	}
+	close(release)
+	for {
+		if _, _, err := cl.Get(1); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("pool never healed after the redials were released")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -79,7 +79,8 @@ type Client struct {
 	tr atomic.Pointer[trace.Store]
 
 	// sleep is time.Sleep unless a test injects a fake to drive the
-	// redial backoff deterministically.
+	// redial backoff deterministically, or to hold redials so the test
+	// decides when a slot heals. Every redial attempt waits on it first.
 	sleep func(time.Duration)
 }
 
@@ -349,7 +350,13 @@ func (cl *Client) redial(s *poolSlot) {
 	go func() {
 		defer s.redialing.Store(false)
 		backoff := redialMinBackoff
-		for !cl.closed.Load() {
+		for {
+			// Back off before every attempt, the first included: the
+			// connection just broke, so its peer may be restarting.
+			cl.sleep(backoff)
+			if cl.closed.Load() {
+				return
+			}
 			t0 := time.Now()
 			c, err := DialTimeout(cl.addr(), cl.timeout)
 			if err == nil {
@@ -370,7 +377,6 @@ func (cl *Client) redial(s *poolSlot) {
 				return
 			}
 			cl.m.redialFails.Inc()
-			cl.sleep(backoff)
 			if backoff *= 2; backoff > redialMaxBackoff {
 				backoff = redialMaxBackoff
 			}

@@ -159,6 +159,12 @@ func decodeManifest(b []byte) (*manifest, error) {
 	if nsh64 < 1 || nsh64 > maxManifestShards || nsh64&(nsh64-1) != 0 {
 		return nil, fmt.Errorf("durable: implausible shard count %d in manifest", nsh64)
 	}
+	// Every count is checked against the bytes that must back it before
+	// anything is allocated: a corrupt header cannot drive an allocation
+	// larger than the manifest itself.
+	if nsh64*40 > uint64(len(body)-24) {
+		return nil, fmt.Errorf("durable: manifest truncated reading shard table")
+	}
 	nsh := int(nsh64)
 	m := &manifest{
 		hseed:  binary.LittleEndian.Uint64(b[16:24]),
@@ -197,7 +203,7 @@ func decodeManifest(b []byte) (*manifest, error) {
 			return nil, err
 		}
 		cnt := binary.LittleEndian.Uint64(cntb)
-		if cnt > maxManifestNamespaces {
+		if cnt > maxManifestNamespaces || cnt*(8+1+nsh64*40) > uint64(len(rest)) {
 			return nil, fmt.Errorf("durable: implausible namespace count %d in manifest", cnt)
 		}
 		m.nss = make([]nsEntry, cnt)

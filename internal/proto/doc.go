@@ -5,11 +5,17 @@
 //
 // Every message — request or reply — is one frame:
 //
-//	u32 BE  length   byte count of the rest of the frame (10 + payload)
-//	u8      version  protocol version, currently 1
+//	u32 BE  length   byte count of the rest of the frame (11 + ext + payload)
+//	u8      version  protocol version, always Version (4)
 //	u8      opcode   request opcode, reply (opcode|FlagReply), or OpError
 //	u64 BE  id       request id, echoed verbatim in the reply
+//	u8      extlen   0, or TraceExtLen when a trace context follows
+//	...     ext      trace id(8), parent span id(8), flags(1) — optional
 //	...     payload  opcode-specific, at most MaxPayload bytes
+//
+// There is one wire version: a frame carrying any other version byte
+// is refused before its body is read. FrameReader is the one decoder;
+// ReadFrame reads a single frame through it.
 //
 // The id makes connections pipelined: a client may have any number of
 // requests in flight on one connection, and replies carry the id of the

@@ -378,33 +378,16 @@ func AppendShardHashes(dst []byte, hseed uint64, entries []ShardHash) []byte {
 	return dst
 }
 
-// DecodeShardHashes decodes an OpShardHash reply. The count is
-// validated against the actual payload length and MaxSyncShards before
-// allocating.
+// DecodeShardHashes decodes an OpShardHash reply in its bare form (no
+// namespace-name table): DecodeShardHashesNS, which validates the count
+// against the payload length and MaxSyncShards before allocating, with
+// a trailing table refused.
 func DecodeShardHashes(p []byte) (hseed uint64, entries []ShardHash, err error) {
-	if len(p) < 12 {
-		return 0, nil, fmt.Errorf("proto: shard-hash reply is %d bytes, want >= 12", len(p))
+	hseed, entries, names, err := DecodeShardHashesNS(p)
+	if err == nil && names != nil {
+		return 0, nil, fmt.Errorf("proto: shard-hash reply of %d shards has %d payload bytes", len(entries), len(p)-12)
 	}
-	hseed = binary.BigEndian.Uint64(p)
-	n := binary.BigEndian.Uint32(p[8:])
-	if n > MaxSyncShards {
-		return 0, nil, fmt.Errorf("proto: shard-hash reply claims %d shards, cap %d", n, MaxSyncShards)
-	}
-	body := p[12:]
-	if uint64(len(body)) != uint64(n)*40 {
-		return 0, nil, fmt.Errorf("proto: shard-hash reply of %d shards has %d payload bytes", n, len(body))
-	}
-	entries = make([]ShardHash, n)
-	for i := range entries {
-		e := body[i*40 : i*40+40]
-		size := int64(binary.BigEndian.Uint64(e))
-		if size < 0 {
-			return 0, nil, fmt.Errorf("proto: shard-hash entry %d has negative size", i)
-		}
-		entries[i].Size = size
-		copy(entries[i].Hash[:], e[8:])
-	}
-	return hseed, entries, nil
+	return hseed, entries, err
 }
 
 // AppendSyncReq appends an OpSync request: the shard index, the
@@ -416,18 +399,6 @@ func AppendSyncReq(dst []byte, shard uint32, hash [32]byte, offset uint64, maxLe
 	dst = append(dst, hash[:]...)
 	dst = binary.BigEndian.AppendUint64(dst, offset)
 	return binary.BigEndian.AppendUint32(dst, maxLen)
-}
-
-// DecodeSyncReq decodes an OpSync request.
-func DecodeSyncReq(p []byte) (shard uint32, hash [32]byte, offset uint64, maxLen uint32, err error) {
-	if len(p) != 48 {
-		return 0, hash, 0, 0, fmt.Errorf("proto: sync request is %d bytes, want 48", len(p))
-	}
-	shard = binary.BigEndian.Uint32(p)
-	copy(hash[:], p[4:36])
-	offset = binary.BigEndian.Uint64(p[36:])
-	maxLen = binary.BigEndian.Uint32(p[44:])
-	return shard, hash, offset, maxLen, nil
 }
 
 // AppendSyncChunk appends an OpSync reply: a more flag (the image has

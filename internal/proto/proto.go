@@ -14,10 +14,10 @@ import (
 // of the paper's structures, not a protocol limitation.
 type Item = hipma.Item
 
-// Version is the protocol version spoken by this package. Every frame
-// carries it; a peer that receives a frame with a version it does not
-// speak must reject it with ErrCodeVersion and may close the
-// connection.
+// Version is the protocol version spoken by this package, and the only
+// one: every frame carries it, and a frame with any other version is
+// refused (ErrVersion; a server answers it with ErrCodeVersion and
+// closes the connection).
 // Version 2 added the HEALTH/PROMOTE opcodes and stamped every read
 // reply with the serving node's checkpoint epoch (bounded staleness).
 // Version 3 added the namespace opcodes (NSPUT/NSGET/NSDEL/DROPNS/
@@ -25,18 +25,16 @@ type Item = hipma.Item
 // Version 4 added the optional trace-context extension after the
 // request id (a header layout change, hence the bump): extlen(1), then
 // — when extlen is TraceExtLen — trace id(8), parent span id(8),
-// flags(1). Servers keep speaking version 3 to version-3 clients: a
-// reply always carries its request's version.
+// flags(1).
 const Version = 4
 
-// HeaderSize is the fixed frame overhead shared by every version: the
-// 4-byte length prefix plus version, opcode, and request id. Version-4
-// frames carry at least one more byte (the extension length).
+// HeaderSize is the fixed frame overhead before the extension-length
+// byte: the 4-byte length prefix plus version, opcode, and request id.
 const HeaderSize = 4 + 1 + 1 + 8
 
 // TraceExtLen is the size of a present trace-context extension: trace
-// id(8), parent span id(8), flags(1). A version-4 frame's extlen byte
-// is either 0 or exactly TraceExtLen.
+// id(8), parent span id(8), flags(1). A frame's extlen byte is either 0
+// or exactly TraceExtLen.
 const TraceExtLen = 8 + 8 + 1
 
 // traceFlagSampled marks a head-sampled request; all other flag bits
@@ -190,7 +188,7 @@ func ErrCodeName(code byte) string {
 	return fmt.Sprintf("ErrCode(0x%02x)", code)
 }
 
-// TraceCtx is the optional version-4 trace-context extension: the
+// TraceCtx is the optional trace-context extension: the
 // request's trace id, the sender's span id (the parent of whatever
 // span the receiver opens), and the head-sample decision. A zero ID
 // means "no context" — frames encode the extension only when ID is
@@ -208,34 +206,41 @@ type Frame struct {
 	Ver     byte
 	Op      byte
 	ID      uint64
-	Trace   TraceCtx // version >= 4 only; zero ID means absent
+	Trace   TraceCtx // zero ID means absent
 	Payload []byte
+}
+
+// WireSize is the frame's encoded length in bytes, length prefix
+// included.
+func (f Frame) WireSize() int {
+	n := HeaderSize + 1 + len(f.Payload)
+	if f.Trace.ID != 0 {
+		n += TraceExtLen
+	}
+	return n
 }
 
 // ErrFrameTooLarge is returned when a frame's declared length exceeds
 // the decoder's payload cap.
 var ErrFrameTooLarge = errors.New("proto: frame exceeds payload cap")
 
-// ErrShortFrame is returned by DecodeFrame when b does not yet hold a
-// complete frame (more bytes are needed).
-var ErrShortFrame = errors.New("proto: incomplete frame")
+// ErrVersion is returned for a frame whose version byte is not
+// Version. The frame's layout is then unknown, so nothing after its
+// header is read: the stream cannot continue.
+var ErrVersion = errors.New("proto: unsupported protocol version")
 
 // AppendFrame appends the encoded frame to dst and returns the extended
 // slice. It does not enforce the payload cap; writers construct their
-// own payloads and the cap protects readers. Frames with Ver < 4 use
-// the version-3 layout: no extension-length byte, and any TraceCtx is
-// silently omitted (it cannot be represented on that wire).
+// own payloads and the cap protects readers. The version byte is
+// written as given, so a peer's refusal of a foreign version can be
+// exercised.
 func AppendFrame(dst []byte, f Frame) []byte {
-	if f.Ver < 4 {
-		dst = binary.BigEndian.AppendUint32(dst, uint32(HeaderSize-4+len(f.Payload)))
-		dst = append(dst, f.Ver, f.Op)
-		dst = binary.BigEndian.AppendUint64(dst, f.ID)
-		return append(dst, f.Payload...)
-	}
 	ext := 0
 	if f.Trace.ID != 0 {
 		ext = TraceExtLen
 	}
+	// The length is WireSize()-4, spelled out: through the method an
+	// untraced encode measured about a fifth slower.
 	dst = binary.BigEndian.AppendUint32(dst, uint32(HeaderSize-4+1+ext+len(f.Payload)))
 	dst = append(dst, f.Ver, f.Op)
 	dst = binary.BigEndian.AppendUint64(dst, f.ID)
@@ -252,181 +257,31 @@ func AppendFrame(dst []byte, f Frame) []byte {
 	return append(dst, f.Payload...)
 }
 
-// decodeTraceExt parses a version-4 frame's extension region from body
-// (the bytes after the request id) and returns the trace context and
-// the number of bytes it occupied. Rejections are exact so that
-// encode∘decode stays the identity: the extension length must be 0 or
-// TraceExtLen, a present extension must carry a nonzero trace id, and
-// reserved flag bits must be zero.
-func decodeTraceExt(body []byte) (TraceCtx, int, error) {
-	if len(body) < 1 {
-		return TraceCtx{}, 0, fmt.Errorf("proto: version-4 frame missing extension length")
-	}
-	extlen := int(body[0])
-	if extlen == 0 {
-		return TraceCtx{}, 1, nil
-	}
-	if extlen != TraceExtLen {
-		return TraceCtx{}, 0, fmt.Errorf("proto: trace extension length %d, want 0 or %d", extlen, TraceExtLen)
-	}
-	if len(body) < 1+TraceExtLen {
-		return TraceCtx{}, 0, fmt.Errorf("proto: frame length too short for trace extension")
-	}
-	tc := TraceCtx{
-		ID:   binary.BigEndian.Uint64(body[1:]),
-		Span: binary.BigEndian.Uint64(body[9:]),
-	}
-	flags := body[17]
-	if tc.ID == 0 {
-		return TraceCtx{}, 0, fmt.Errorf("proto: trace extension with zero trace id")
-	}
-	if flags&^traceFlagSampled != 0 {
-		return TraceCtx{}, 0, fmt.Errorf("proto: reserved trace flag bits 0x%02x set", flags&^traceFlagSampled)
-	}
-	tc.Sampled = flags&traceFlagSampled != 0
-	return tc, 1 + TraceExtLen, nil
-}
-
-// DecodeFrame decodes one frame from the front of b, returning the
-// frame and the number of bytes consumed. The returned payload aliases
-// b. A frame whose declared payload exceeds maxPayload (<=0 means
-// MaxPayload) fails with ErrFrameTooLarge; a prefix of a valid frame
-// fails with ErrShortFrame.
-func DecodeFrame(b []byte, maxPayload int) (Frame, int, error) {
-	if maxPayload <= 0 {
-		maxPayload = MaxPayload
-	}
-	if len(b) < 4 {
-		return Frame{}, 0, ErrShortFrame
-	}
-	n := binary.BigEndian.Uint32(b)
-	if n < HeaderSize-4 {
-		return Frame{}, 0, fmt.Errorf("proto: frame length %d below header size", n)
-	}
-	// The length gate admits the version-4 extension overhead; the
-	// payload cap is enforced exactly once the version is known.
-	if n > uint32(HeaderSize-4+1+TraceExtLen+maxPayload) {
-		return Frame{}, 0, fmt.Errorf("%w: %d bytes, cap %d", ErrFrameTooLarge, n, HeaderSize-4+maxPayload)
-	}
-	if len(b) < 4+int(n) {
-		return Frame{}, 0, ErrShortFrame
-	}
-	f := Frame{
-		Ver: b[4],
-		Op:  b[5],
-		ID:  binary.BigEndian.Uint64(b[6:]),
-	}
-	body := b[HeaderSize : 4+n]
-	if f.Ver >= 4 {
-		tc, ext, err := decodeTraceExt(body)
-		if err != nil {
-			return Frame{}, 0, err
-		}
-		f.Trace = tc
-		body = body[ext:]
-	}
-	if len(body) > maxPayload {
-		return Frame{}, 0, fmt.Errorf("%w: %d payload bytes, cap %d", ErrFrameTooLarge, len(body), maxPayload)
-	}
-	f.Payload = body
-	return f, 4 + int(n), nil
-}
-
-// ReadFrame reads exactly one frame from r, allocating at most
-// maxPayload bytes for the payload (<=0 means MaxPayload). It never
-// over-reads: the length prefix is validated before the body is read.
+// ReadFrame reads exactly one frame from r into a freshly allocated
+// payload of at most maxPayload bytes (<=0 means MaxPayload). It is a
+// one-frame FrameReader: same validation, never over-reads.
 func ReadFrame(r io.Reader, maxPayload int) (Frame, error) {
-	if maxPayload <= 0 {
-		maxPayload = MaxPayload
-	}
-	var hdr [HeaderSize + 1 + TraceExtLen]byte
-	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
-		return Frame{}, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:4])
-	if n < HeaderSize-4 {
-		return Frame{}, fmt.Errorf("proto: frame length %d below header size", n)
-	}
-	if n > uint32(HeaderSize-4+1+TraceExtLen+maxPayload) {
-		return Frame{}, fmt.Errorf("%w: %d bytes, cap %d", ErrFrameTooLarge, n, HeaderSize-4+maxPayload)
-	}
-	if _, err := io.ReadFull(r, hdr[4:HeaderSize]); err != nil {
-		return Frame{}, fmt.Errorf("proto: reading frame header: %w", err)
-	}
-	f := Frame{
-		Ver: hdr[4],
-		Op:  hdr[5],
-		ID:  binary.BigEndian.Uint64(hdr[6:]),
-	}
-	body := int(n) - (HeaderSize - 4)
-	if f.Ver >= 4 {
-		ext, err := readTraceExt(r, hdr[HeaderSize:], body)
-		if err != nil {
-			return Frame{}, err
-		}
-		f.Trace, _, err = decodeTraceExt(hdr[HeaderSize : HeaderSize+ext])
-		if err != nil {
-			return Frame{}, err
-		}
-		body -= ext
-	}
-	if body > maxPayload {
-		return Frame{}, fmt.Errorf("%w: %d payload bytes, cap %d", ErrFrameTooLarge, body, maxPayload)
-	}
-	if body > 0 {
-		f.Payload = make([]byte, body)
-		if _, err := io.ReadFull(r, f.Payload); err != nil {
-			return Frame{}, fmt.Errorf("proto: reading frame payload: %w", err)
-		}
-	}
-	return f, nil
-}
-
-// readTraceExt reads a version-4 frame's extension region (the extlen
-// byte, plus the extension itself when the byte announces one) into
-// scratch and returns the number of bytes read. body is the declared
-// byte count remaining after the request id.
-func readTraceExt(r io.Reader, scratch []byte, body int) (int, error) {
-	if body < 1 {
-		return 0, fmt.Errorf("proto: version-4 frame missing extension length")
-	}
-	if _, err := io.ReadFull(r, scratch[:1]); err != nil {
-		return 0, fmt.Errorf("proto: reading trace extension length: %w", err)
-	}
-	extlen := int(scratch[0])
-	if extlen == 0 {
-		return 1, nil
-	}
-	if extlen != TraceExtLen {
-		return 0, fmt.Errorf("proto: trace extension length %d, want 0 or %d", extlen, TraceExtLen)
-	}
-	if body < 1+TraceExtLen {
-		return 0, fmt.Errorf("proto: frame length too short for trace extension")
-	}
-	if _, err := io.ReadFull(r, scratch[1:1+TraceExtLen]); err != nil {
-		return 0, fmt.Errorf("proto: reading trace extension: %w", err)
-	}
-	return 1 + TraceExtLen, nil
+	return NewFrameReader(r, maxPayload).Next()
 }
 
 // WriteFrame encodes f and writes it to w in one call.
 func WriteFrame(w io.Writer, f Frame) error {
-	buf := AppendFrame(make([]byte, 0, HeaderSize+len(f.Payload)), f)
+	buf := AppendFrame(make([]byte, 0, f.WireSize()), f)
 	_, err := w.Write(buf)
 	return err
 }
 
 // FrameReader decodes a stream of frames into one reusable payload
 // buffer, so a long-lived connection's read loop allocates nothing at
-// steady state (ReadFrame, by contrast, allocates a fresh payload per
-// frame). The buffer grows to the largest payload seen and is retained,
-// bounded by the reader's payload cap.
+// steady state. The buffer grows to the largest payload seen and is
+// retained, bounded by the reader's payload cap. It is the package's
+// only frame decoder; ReadFrame wraps it.
 //
 // ALIASING CONTRACT: the payload returned by Next aliases the internal
 // buffer and is valid only until the next Next call. A caller that
 // retains payload bytes past that point (to echo them later, hand them
 // to another goroutine, ...) must copy them first. FuzzDecodeFrame and
-// TestFrameReaderReuse enforce the decode equivalence and the reuse
+// TestFrameReaderReuse enforce the decode identity and the reuse
 // semantics.
 type FrameReader struct {
 	r          io.Reader
@@ -434,8 +289,8 @@ type FrameReader struct {
 	maxPayload int
 	// hdr lives in the struct rather than Next's frame so the interface
 	// call to io.ReadFull cannot force a per-frame heap allocation. It
-	// is sized for the longest fixed region: header plus the version-4
-	// extension-length byte and a full trace extension.
+	// is sized for the longest fixed region: header, extension-length
+	// byte, and a full trace extension.
 	hdr [HeaderSize + 1 + TraceExtLen]byte
 }
 
@@ -450,8 +305,13 @@ func NewFrameReader(r io.Reader, maxPayload int) *FrameReader {
 
 // Next reads and decodes one frame. It never over-reads (the length
 // prefix is validated before the body is read) and never allocates
-// beyond the payload cap. The returned frame's payload is valid only
-// until the next call — see the aliasing contract above.
+// beyond the payload cap. Rejections are exact, so that encode∘decode
+// is the identity on bytes: the extension length must be 0 or
+// TraceExtLen, a present extension must carry a nonzero trace id, and
+// reserved flag bits must be zero. A foreign version fails with
+// ErrVersion and a frame holding the header's version, opcode and id,
+// so the refusal can name the request. The returned payload is valid
+// only until the next call — see the aliasing contract above.
 func (fr *FrameReader) Next() (Frame, error) {
 	hdr := fr.hdr[:]
 	if _, err := io.ReadFull(fr.r, hdr[:4]); err != nil {
@@ -464,7 +324,13 @@ func (fr *FrameReader) Next() (Frame, error) {
 	if n > uint32(HeaderSize-4+1+TraceExtLen+fr.maxPayload) {
 		return Frame{}, fmt.Errorf("%w: %d bytes, cap %d", ErrFrameTooLarge, n, HeaderSize-4+fr.maxPayload)
 	}
-	if _, err := io.ReadFull(fr.r, hdr[4:HeaderSize]); err != nil {
+	// One read covers the id and, when the frame is long enough to hold
+	// it, the extension-length byte.
+	end := HeaderSize
+	if n > HeaderSize-4 {
+		end++
+	}
+	if _, err := io.ReadFull(fr.r, hdr[4:end]); err != nil {
 		return Frame{}, fmt.Errorf("proto: reading frame header: %w", err)
 	}
 	f := Frame{
@@ -472,17 +338,36 @@ func (fr *FrameReader) Next() (Frame, error) {
 		Op:  hdr[5],
 		ID:  binary.BigEndian.Uint64(hdr[6:]),
 	}
-	body := int(n) - (HeaderSize - 4)
-	if f.Ver >= 4 {
-		ext, err := readTraceExt(fr.r, hdr[HeaderSize:], body)
-		if err != nil {
-			return Frame{}, err
+	if f.Ver != Version {
+		return f, fmt.Errorf("%w %d (this side speaks %d)", ErrVersion, f.Ver, Version)
+	}
+	if end == HeaderSize {
+		return Frame{}, fmt.Errorf("proto: frame missing extension length")
+	}
+	body := int(n) - (HeaderSize - 4 + 1)
+	if ext := int(hdr[HeaderSize]); ext != 0 {
+		if ext != TraceExtLen {
+			return Frame{}, fmt.Errorf("proto: trace extension length %d, want 0 or %d", ext, TraceExtLen)
 		}
-		f.Trace, _, err = decodeTraceExt(hdr[HeaderSize : HeaderSize+ext])
-		if err != nil {
-			return Frame{}, err
+		if body < TraceExtLen {
+			return Frame{}, fmt.Errorf("proto: frame length too short for trace extension")
 		}
-		body -= ext
+		x := hdr[HeaderSize+1 : HeaderSize+1+TraceExtLen]
+		if _, err := io.ReadFull(fr.r, x); err != nil {
+			return Frame{}, fmt.Errorf("proto: reading trace extension: %w", err)
+		}
+		f.Trace = TraceCtx{
+			ID:      binary.BigEndian.Uint64(x),
+			Span:    binary.BigEndian.Uint64(x[8:]),
+			Sampled: x[16]&traceFlagSampled != 0,
+		}
+		if f.Trace.ID == 0 {
+			return Frame{}, fmt.Errorf("proto: trace extension with zero trace id")
+		}
+		if x[16]&^traceFlagSampled != 0 {
+			return Frame{}, fmt.Errorf("proto: reserved trace flag bits 0x%02x set", x[16]&^traceFlagSampled)
+		}
+		body -= TraceExtLen
 	}
 	if body > fr.maxPayload {
 		return Frame{}, fmt.Errorf("%w: %d payload bytes, cap %d", ErrFrameTooLarge, body, fr.maxPayload)

@@ -37,42 +37,41 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Fatalf("after last frame: %v, want EOF", err)
 	}
 
-	// Buffer decodes consume exactly the same boundaries.
-	rest := wire
+	// A reused FrameReader consumes exactly the same boundaries.
+	fr := NewFrameReader(bytes.NewReader(wire), 0)
 	for i, want := range frames {
-		got, n, err := DecodeFrame(rest, 0)
+		got, err := fr.Next()
 		if err != nil {
-			t.Fatalf("decode frame %d: %v", i, err)
+			t.Fatalf("reader frame %d: %v", i, err)
 		}
 		if got.Op != want.Op || got.ID != want.ID || !bytes.Equal(got.Payload, want.Payload) {
-			t.Fatalf("decode frame %d: got %+v want %+v", i, got, want)
+			t.Fatalf("reader frame %d: got %+v want %+v", i, got, want)
 		}
-		rest = rest[n:]
 	}
-	if len(rest) != 0 {
-		t.Fatalf("%d trailing bytes", len(rest))
+	if _, err := fr.Next(); err != io.EOF {
+		t.Fatalf("reader after last frame: %v, want EOF", err)
 	}
 }
 
 func TestFrameHostile(t *testing.T) {
 	// A declared length below the header minimum.
 	short := []byte{0, 0, 0, 5, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0}
-	if _, _, err := DecodeFrame(short, 0); err == nil || errors.Is(err, ErrShortFrame) {
+	if _, err := ReadFrame(bytes.NewReader(short), 0); err == nil || errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("undersized length: %v", err)
 	}
 	// A declared length over the cap must fail BEFORE the body arrives.
 	huge := []byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 1}
-	if _, _, err := DecodeFrame(huge, 0); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := NewFrameReader(bytes.NewReader(huge), 0).Next(); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversized length: %v", err)
 	}
 	if _, err := ReadFrame(bytes.NewReader(huge), 0); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversized length (stream): %v", err)
 	}
-	// An incomplete frame asks for more bytes.
+	// Every truncation of a frame fails as a short read.
 	whole := AppendFrame(nil, Frame{Ver: Version, Op: OpPing, ID: 9, Payload: []byte("abc")})
 	for cut := 0; cut < len(whole); cut++ {
-		if _, _, err := DecodeFrame(whole[:cut], 0); !errors.Is(err, ErrShortFrame) {
-			t.Fatalf("cut %d: %v, want ErrShortFrame", cut, err)
+		if _, err := ReadFrame(bytes.NewReader(whole[:cut]), 0); !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("cut %d: %v, want a short read", cut, err)
 		}
 	}
 }
@@ -145,9 +144,9 @@ func TestPayloadRoundTrips(t *testing.T) {
 		t.Fatalf("empty shard hashes: %v %v", e0, err)
 	}
 
-	sh, h, off, maxLen, err := DecodeSyncReq(AppendSyncReq(nil, 9, [32]byte{7, 7}, 1<<40, 512))
-	if err != nil || sh != 9 || h != ([32]byte{7, 7}) || off != 1<<40 || maxLen != 512 {
-		t.Fatalf("sync req: %d %x %d %d %v", sh, h[:2], off, maxLen, err)
+	sh, h, off, maxLen, ns, err := DecodeSyncReqNS(AppendSyncReq(nil, 9, [32]byte{7, 7}, 1<<40, 512))
+	if err != nil || sh != 9 || h != ([32]byte{7, 7}) || off != 1<<40 || maxLen != 512 || ns != "" {
+		t.Fatalf("sync req: %d %x %d %d %q %v", sh, h[:2], off, maxLen, ns, err)
 	}
 	data, more, err := DecodeSyncChunk(AppendSyncChunk(nil, true, []byte("bytes")))
 	if err != nil || !more || string(data) != "bytes" {
@@ -204,7 +203,7 @@ func TestHostilePayloads(t *testing.T) {
 	if _, _, err := DecodeShardHashes(overCap); err == nil {
 		t.Fatal("shard-hash count over MaxSyncShards accepted")
 	}
-	if _, _, _, _, err := DecodeSyncReq(make([]byte, 47)); err == nil {
+	if _, _, _, _, _, err := DecodeSyncReqNS(make([]byte, 47)); err == nil {
 		t.Fatal("short sync request accepted")
 	}
 	if _, _, err := DecodeSyncChunk(nil); err == nil {

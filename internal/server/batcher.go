@@ -6,40 +6,22 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/durable"
-	"repro/internal/obs"
 	"repro/internal/proto"
 	"repro/internal/shard"
 	"repro/internal/trace"
 )
 
-// writeReq is one connection's PUT, PUTTTL, or DEL handed to the
-// coalescer, carrying everything needed to route the reply back — or a
-// server-internal expire op from the sweeper (c nil: no reply), or a
-// namespaced write (ns non-empty: NSPUT/NSDEL, or DROPNS when drop is
-// set).
+// writeReq is one connection's coalesced write (PUT, PUTTTL, DEL,
+// NSPUT, NSDEL, or DROPNS — the opcode is in the embedded request),
+// carrying everything needed to route the reply back; or a
+// server-internal expire op from the sweeper (c nil: no reply). ns
+// non-empty addresses a tenant cell.
 type writeReq struct {
-	key, val int64
-	exp      int64 // PUTTTL/NSPUT: absolute expiry; expire op: epoch bound
-	del      bool
-	ttl      bool   // PUTTTL (reply carries the echoed expiry)
-	expire   bool   // sweeper-issued conditional delete; c is nil
-	ns       string // tenant namespace ("": default keyspace)
-	drop     bool   // DROPNS: erase the tenant named by ns
-	id       uint64
-	c        *conn
-
-	t0 time.Time // frame receipt, for phase timing (zero for sweeper ops)
-	in int       // request payload bytes, for the slow-op log
-
-	// Wire context carried across the goroutine hop: the request
-	// frame's protocol version (the reply echoes it) and trace context,
-	// plus the decode-done timestamp for the decode child span. The
-	// batcher must read these, never the conn's reader-goroutine
-	// per-request fields. Zero for sweeper ops.
-	td  time.Time
-	ver byte
-	tc  proto.TraceCtx
+	request
+	val    int64
+	exp    int64  // PUTTTL/NSPUT: absolute expiry; expire op: epoch bound
+	ns     string // tenant namespace ("": default keyspace)
+	expire bool   // sweeper-issued conditional delete; c is nil
 }
 
 // batcher is the server-wide write coalescer: a single goroutine that
@@ -50,24 +32,10 @@ type writeReq struct {
 // applies same-shard ops in order), so the reply each connection sees
 // is exactly what the equivalent point op would have returned.
 type batcher struct {
-	db        *durable.DB
+	srv       *Server
 	ch        chan writeReq
-	st        *stats
-	sm        *serverMetrics
-	slow      *obs.SlowLog
 	done      chan struct{}
 	closeOnce sync.Once
-	// maxBatch caps one drain so a firehose of writers cannot grow the
-	// staging slices without bound.
-	maxBatch int
-	// nsQuota is Config.NSQuota: the per-tenant live-key cap enforced
-	// here, on the only goroutine that mutates namespaces, so the check
-	// is exact rather than racy.
-	nsQuota int
-	// tr is the span store (nil: tracing off), set by New right after
-	// newBatcher. Kept coalesced writes record their span trees from
-	// this goroutine.
-	tr *trace.Store
 
 	// Coalescer-goroutine scratch, reused across drains.
 	ops      []shard.Op
@@ -75,16 +43,11 @@ type batcher struct {
 	pscratch []byte
 }
 
-func newBatcher(db *durable.DB, st *stats, sm *serverMetrics, slow *obs.SlowLog, queue, maxBatch, nsQuota int) *batcher {
+func newBatcher(s *Server) *batcher {
 	return &batcher{
-		db:       db,
-		ch:       make(chan writeReq, queue),
-		st:       st,
-		sm:       sm,
-		slow:     slow,
-		done:     make(chan struct{}),
-		maxBatch: maxBatch,
-		nsQuota:  nsQuota,
+		srv:  s,
+		ch:   make(chan writeReq, s.cfg.WriteQueue),
+		done: make(chan struct{}),
 	}
 }
 
@@ -110,24 +73,25 @@ func (b *batcher) close() {
 const extendThreshold = 8
 
 // run is the coalescer loop: block for one write, then greedily drain
-// whatever else is queued (up to maxBatch, with one adaptive window
-// extension under load), then process the drain in submission order —
-// contiguous default-keyspace runs as one ApplyBatch, namespaced ops
-// as point ops against their tenant cells, DROPNS as a full barrier
-// (drop + checkpoint before the reply). Per-connection order is
-// preserved end to end: the channel is FIFO and segments apply in
-// drain order, so the reply each connection sees is exactly what the
+// whatever else is queued (up to MaxWriteBatch, with one adaptive
+// window extension under load), then process the drain in submission
+// order — contiguous default-keyspace runs as one ApplyBatch,
+// namespaced ops as point ops against their tenant cells, DROPNS as a
+// full barrier (drop + checkpoint before the reply). Per-connection
+// order is preserved end to end: the channel is FIFO and segments apply
+// in drain order, so the reply each connection sees is exactly what the
 // equivalent point op would have returned.
 func (b *batcher) run() {
 	defer close(b.done)
+	s := b.srv
 	var reqs []writeReq
 	for first := range b.ch {
 		reqs = append(reqs[:0], first)
 		reqs = b.drain(reqs)
-		if n := len(reqs); n >= extendThreshold && n < b.maxBatch {
+		if n := len(reqs); n >= extendThreshold && n < s.cfg.MaxWriteBatch {
 			runtime.Gosched()
 			if reqs = b.drain(reqs); len(reqs) > n {
-				b.st.wExtends.Add(1)
+				s.st.wExtends.Add(1)
 			}
 		}
 
@@ -137,7 +101,7 @@ func (b *batcher) run() {
 		tw := time.Now()
 		for _, r := range reqs {
 			if r.c != nil {
-				b.sm.phaseWait.Observe(int64(tw.Sub(r.t0)))
+				s.sm.phaseWait.Observe(int64(tw.Sub(r.t0)))
 			}
 		}
 		for lo := 0; lo < len(reqs); {
@@ -149,7 +113,7 @@ func (b *batcher) run() {
 				b.applyDefault(reqs[lo:hi], tw)
 				lo = hi
 			} else {
-				b.applyNS(reqs[lo], tw)
+				b.applyNS(&reqs[lo], tw)
 				lo++
 			}
 		}
@@ -159,128 +123,40 @@ func (b *batcher) run() {
 // applyDefault applies one contiguous run of default-keyspace writes as
 // a single ApplyBatch and fans the per-op outcomes back out as replies.
 func (b *batcher) applyDefault(reqs []writeReq, tw time.Time) {
+	s := b.srv
 	ops := b.ops[:0]
 	for _, r := range reqs {
-		ops = append(ops, shard.Op{Key: r.key, Val: r.val, Exp: r.exp, Delete: r.del, Expire: r.expire})
+		ops = append(ops, shard.Op{Key: r.key, Val: r.val, Exp: r.exp, Delete: r.op == proto.OpDel, Expire: r.expire})
 	}
 	b.ops = ops
 	if cap(b.changed) < len(ops) {
 		b.changed = make([]bool, len(ops))
 	}
 	changed := b.changed[:len(ops)]
-	_, err := b.db.ApplyBatch(ops, changed)
-	b.st.noteBatch(len(ops))
+	_, err := s.db.ApplyBatch(ops, changed)
+	s.st.noteBatch(len(ops))
 	ta := time.Now()
-	b.sm.phaseApply.Observe(int64(ta.Sub(tw)))
-	b.sm.batchOps.Observe(int64(len(ops)))
+	s.sm.phaseApply.Observe(int64(ta.Sub(tw)))
+	s.sm.batchOps.Observe(int64(len(ops)))
 
-	for i, r := range reqs {
+	for i := range reqs {
+		r := &reqs[i]
 		if r.c == nil {
 			continue // server-internal op (expiry sweep): no reply owed
 		}
-		// Payloads are built in a coalescer-lifetime scratch: sendFrame
-		// copies them into the connection's outbound buffer before
-		// returning, so the next iteration may overwrite it.
-		opb := proto.OpPut
+		r.tw, r.ta, r.batch = tw, ta, len(reqs)
 		switch {
-		case r.del:
-			opb = proto.OpDel
-		case r.ttl:
-			opb = proto.OpPutTTL
-		}
-		ec := byte(0)
-		if err != nil {
-			ec = proto.ErrCodeInternal
-			b.pscratch = proto.AppendError(b.pscratch[:0], ec, err.Error())
-			r.c.sendFrame(proto.OpError, r.id, b.pscratch, r.ver, r.tc)
-		} else {
-			if r.ttl {
-				b.pscratch = proto.AppendTTLAck(b.pscratch[:0], changed[i], r.exp)
-			} else {
-				b.pscratch = proto.AppendBool(b.pscratch[:0], changed[i])
-			}
-			r.c.sendFrame(opb|proto.FlagReply, r.id, b.pscratch, r.ver, r.tc)
-		}
-		r.c.pending.Done()
-
-		now := time.Now()
-		total := now.Sub(r.t0)
-		if h := b.sm.ops[opb]; h != nil {
-			h.Observe(int64(total))
-		}
-		var tid uint64
-		if b.tr != nil {
-			tid = b.traceWrite(r, opb, ec, len(b.pscratch), len(reqs), tw, ta, now, 0, 0)
-		}
-		if b.slow.Slow(total) {
-			b.slow.Record(obs.SlowOp{
-				Op: opLabels[opb], ReqID: r.id,
-				Shard:   b.db.Store().ShardOf(r.key),
-				BytesIn: r.in, BytesOut: len(b.pscratch), Batch: len(reqs),
-				Total: total, Wait: tw.Sub(r.t0),
-				Apply: ta.Sub(tw), Encode: now.Sub(ta),
-				Trace: tid,
-			})
+		case err != nil:
+			s.finish(&r.request, nil, proto.ErrCodeInternal, err.Error())
+		case r.op == proto.OpPutTTL:
+			b.pscratch = proto.AppendTTLAck(b.pscratch[:0], changed[i], r.exp)
+			s.finish(&r.request, b.pscratch, 0, "")
+		default:
+			b.pscratch = proto.AppendBool(b.pscratch[:0], changed[i])
+			s.finish(&r.request, b.pscratch, 0, "")
 		}
 	}
-	b.sm.phaseEncode.Observe(int64(time.Since(ta)))
-}
-
-// traceWrite records one coalesced write's span tree when the request
-// is kept: the server root (parented under the client's span), then
-// decode / coalesce-wait / batch / apply / encode children, flush
-// attribution on the connection, and the opcode histogram's exemplar.
-// tid/sid nonzero mean the identity was preminted and the request is
-// kept unconditionally (DROPNS — the span ids had to exist before the
-// apply so the durable layer could parent its checkpoint span);
-// otherwise the keep rule is sampled (by the client, or by the server
-// for requests arriving with no trace context) || slow || error.
-// Returns the kept trace id (0: not kept). batch 0 suppresses the
-// batch span — namespaced point ops have no coalesced batch to
-// describe.
-func (b *batcher) traceWrite(r writeReq, opb, errCode byte, out, batch int, tw, ta, now time.Time, tid, sid uint64) uint64 {
-	tr := b.tr
-	total := now.Sub(r.t0)
-	if sid == 0 {
-		if !(r.tc.Sampled || errCode != 0 || b.slow.Slow(total) ||
-			(r.tc.ID == 0 && tr.Sample())) {
-			return 0
-		}
-		tid = r.tc.ID
-		if tid == 0 {
-			tid = tr.NewID()
-		}
-		sid = tr.NewID()
-	}
-	shard := int32(-1) // tenant cells keep their routing secret
-	if r.ns == "" {
-		shard = int32(b.db.Store().ShardOf(r.key))
-	}
-	t0n := r.t0.UnixNano()
-	tr.Record(trace.Span{
-		Trace: tid, ID: sid, Parent: r.tc.Span,
-		Start: t0n, Dur: int64(total),
-		Kind: trace.KindServer, Op: opb, Err: errCode, Shard: shard,
-		In: int32(r.in), Out: int32(out),
-	})
-	tr.Record(trace.Span{Trace: tid, ID: tr.NewID(), Parent: sid,
-		Start: t0n, Dur: int64(r.td.Sub(r.t0)), Kind: trace.KindDecode, Shard: shard})
-	tr.Record(trace.Span{Trace: tid, ID: tr.NewID(), Parent: sid,
-		Start: r.td.UnixNano(), Dur: int64(tw.Sub(r.td)), Kind: trace.KindWait, Shard: shard})
-	if batch > 0 {
-		tr.Record(trace.Span{Trace: tid, ID: tr.NewID(), Parent: sid,
-			Start: tw.UnixNano(), Dur: int64(ta.Sub(tw)), Kind: trace.KindBatch, Shard: shard,
-			In: int32(batch)})
-	}
-	tr.Record(trace.Span{Trace: tid, ID: tr.NewID(), Parent: sid,
-		Start: tw.UnixNano(), Dur: int64(ta.Sub(tw)), Kind: trace.KindApply, Shard: shard})
-	tr.Record(trace.Span{Trace: tid, ID: tr.NewID(), Parent: sid,
-		Start: ta.UnixNano(), Dur: int64(now.Sub(ta)), Kind: trace.KindEncode, Shard: shard})
-	r.c.noteFlushTrace(tid, sid)
-	if h := b.sm.ops[opb]; h != nil {
-		h.Exemplar(int64(total), tid)
-	}
-	return tid
+	s.sm.phaseEncode.Observe(int64(time.Since(ta)))
 }
 
 // applyNS applies one namespaced write as a point op — tenant cells
@@ -290,115 +166,71 @@ func (b *batcher) traceWrite(r writeReq, opb, errCode byte, out, batch int, tw, 
 // files zero-wiped and unlinked) before the reply leaves, so a
 // positive DROPNS reply means the erasure is already durable and
 // forensically complete.
-func (b *batcher) applyNS(r writeReq, tw time.Time) {
+func (b *batcher) applyNS(r *writeReq, tw time.Time) {
+	s := b.srv
+	s.st.nsOps.Add(1)
 	var (
-		opb      byte
-		changed  bool
-		errCode  byte
-		errMsg   string
-		tid, sid uint64 // preminted span identity (DROPNS under tracing)
+		changed bool
+		code    byte
+		msg     string
 	)
-	switch {
-	case r.drop:
-		opb = proto.OpDropNS
-		b.st.nsDrops.Add(1)
-		if b.tr != nil && r.c != nil {
-			// The erasure barrier commits a checkpoint — always slow,
-			// always kept. Mint the span identity now so the durable
-			// layer's checkpoint span parents under this request.
-			tid = r.tc.ID
-			if tid == 0 {
-				tid = b.tr.NewID()
-			}
-			sid = b.tr.NewID()
-		}
+	switch r.op {
+	case proto.OpDropNS:
+		s.st.nsDrops.Add(1)
+		// The erasure barrier commits a checkpoint: mint the span
+		// identity now so the durable layer's checkpoint span parents
+		// under this request.
+		s.keep(&r.request)
 		// Drop and checkpoint as one operation: a failed checkpoint
 		// restores the cell before the error reply, so the client is
 		// never told a tenant is gone while its data stays durable, and
 		// a retried DROPNS finds the tenant (or its lingering manifest
 		// entry) and completes the erasure.
 		var err error
-		if changed, err = b.db.DropNamespaceSyncTraced(r.ns, tid, sid); err != nil {
-			errCode, errMsg = proto.ErrCodeInternal, err.Error()
+		if changed, err = s.db.DropNamespaceSyncTraced(r.ns, r.tid, r.sid); err != nil {
+			code, msg = proto.ErrCodeInternal, err.Error()
 		}
-	case r.del:
-		opb = proto.OpNSDel
-		changed = b.db.NSDelete(r.ns, r.key)
+	case proto.OpNSDel:
+		changed = s.db.NSDelete(r.ns, r.key)
 	default:
-		opb = proto.OpNSPut
-		if q := b.nsQuota; q > 0 && !b.db.NSHas(r.ns, r.key) && b.db.NSLen(r.ns) >= q {
-			b.st.nsQuotaRejected.Add(1)
-			errCode = proto.ErrCodeQuota
-			errMsg = fmt.Sprintf("namespace is at its %d-key quota", q)
+		if q := s.cfg.NSQuota; q > 0 && !s.db.NSHas(r.ns, r.key) && s.db.NSLen(r.ns) >= q {
+			s.st.nsQuotaRejected.Add(1)
+			code, msg = proto.ErrCodeQuota, fmt.Sprintf("namespace is at its %d-key quota", q)
 		} else {
 			var err error
-			changed, err = b.db.NSPutTTL(r.ns, r.key, r.val, r.exp)
-			if err != nil {
-				errCode, errMsg = proto.ErrCodeBadFrame, err.Error()
+			if changed, err = s.db.NSPutTTL(r.ns, r.key, r.val, r.exp); err != nil {
+				code, msg = proto.ErrCodeBadFrame, err.Error()
 			}
 		}
 	}
 	ta := time.Now()
-	b.sm.phaseApply.Observe(int64(ta.Sub(tw)))
-	if r.c == nil {
-		return
-	}
-	if sid != 0 {
+	s.sm.phaseApply.Observe(int64(ta.Sub(tw)))
+	r.tw, r.ta = tw, ta
+	if r.sid != 0 {
 		// The barrier span covers the drop-and-checkpoint apply window;
 		// the checkpoint span recorded inside it is a sibling child of
 		// the same server span, linked by the committed manifest hash.
-		b.tr.Record(trace.Span{Trace: tid, ID: b.tr.NewID(), Parent: sid,
+		s.tr.Record(trace.Span{Trace: r.tid, ID: s.tr.NewID(), Parent: r.sid,
 			Start: tw.UnixNano(), Dur: int64(ta.Sub(tw)), Kind: trace.KindEraseBarrier,
-			Shard: -1, Err: errCode})
+			Shard: -1, Err: code})
 	}
-	if errMsg != "" {
-		b.st.errors.Add(1)
-		b.pscratch = proto.AppendError(b.pscratch[:0], errCode, errMsg)
-		r.c.sendFrame(proto.OpError, r.id, b.pscratch, r.ver, r.tc)
-		r.c.pending.Done()
-		now := time.Now()
-		if b.tr != nil {
-			b.traceWrite(r, opb, errCode, len(b.pscratch), 0, tw, ta, now, tid, sid)
-		}
-		b.sm.phaseEncode.Observe(int64(time.Since(ta)))
-		return
-	}
-	if opb == proto.OpNSPut {
+	switch {
+	case code != 0:
+		s.finish(&r.request, nil, code, msg)
+	case r.op == proto.OpNSPut:
 		b.pscratch = proto.AppendTTLAck(b.pscratch[:0], changed, r.exp)
-	} else {
+		s.finish(&r.request, b.pscratch, 0, "")
+	default:
 		b.pscratch = proto.AppendBool(b.pscratch[:0], changed)
+		s.finish(&r.request, b.pscratch, 0, "")
 	}
-	r.c.sendFrame(opb|proto.FlagReply, r.id, b.pscratch, r.ver, r.tc)
-	r.c.pending.Done()
-
-	now := time.Now()
-	total := now.Sub(r.t0)
-	if h := b.sm.ops[opb]; h != nil {
-		h.Observe(int64(total))
-	}
-	var ktid uint64
-	if b.tr != nil {
-		ktid = b.traceWrite(r, opb, 0, len(b.pscratch), 0, tw, ta, now, tid, sid)
-	}
-	if b.slow.Slow(total) {
-		// Forensic cleanliness: the record carries the opcode label and
-		// sizes, never the tenant name or key. Shard is -1 — a tenant
-		// cell's routing is its own secret.
-		b.slow.Record(obs.SlowOp{
-			Op: opLabels[opb], ReqID: r.id, Shard: -1,
-			BytesIn: r.in, BytesOut: len(b.pscratch), Batch: 1,
-			Total: total, Wait: tw.Sub(r.t0),
-			Apply: ta.Sub(tw), Encode: now.Sub(ta),
-			Trace: ktid,
-		})
-	}
-	b.sm.phaseEncode.Observe(int64(time.Since(ta)))
+	s.sm.phaseEncode.Observe(int64(time.Since(ta)))
 }
 
 // drain greedily moves queued writes into reqs without blocking, up to
-// maxBatch.
+// MaxWriteBatch.
 func (b *batcher) drain(reqs []writeReq) []writeReq {
-	for len(reqs) < b.maxBatch {
+	for len(reqs) < b.srv.cfg.MaxWriteBatch {
 		select {
 		case r, ok := <-b.ch:
 			if !ok {

@@ -7,24 +7,35 @@
 // # Connection model
 //
 // Each connection gets two goroutines: a reader that decodes frames and
-// dispatches them, and a writer that serializes replies from a channel
-// through a buffered writer, flushing when the queue goes idle — so a
-// burst of pipelined replies costs one syscall, not one per reply.
-// Replies carry the request id of the frame they answer and may be
-// written out of request order.
+// serves them, and a writer that takes whatever replies have queued up
+// and writes them with one syscall — so a burst of pipelined replies
+// costs one write, not one per reply. Replies carry the request id of
+// the frame they answer and may be written out of request order.
+//
+// # Request path
+//
+// Every opcode is a row of one table (opTable): its class — inline
+// read, coalesced write, barrier, or admin — and its decode, exec, and
+// encode steps. One wrapper (conn.serve) does what every request
+// repeats: the read-only refusal, decode-error replies, phase
+// timestamps, the program-order wait, and the reply. Every reply,
+// inline or coalesced, success or error, then runs through one finish
+// routine (Server.finish) for the opcode histogram, the span tree, and
+// the slow-op record. The request's identity and timing travel as an
+// explicit request value, never as per-connection state.
 //
 // # Write coalescing
 //
-// Reads (GET, BATCH-get, RANGE, LEN) execute inline on the reader
+// Reads (GET, BATCH-get, RANGE, LEN, ...) execute inline on the reader
 // goroutine — they take one shard read-lock and return. Writes (PUT,
-// DEL, BATCH-put, BATCH-del) are handed to a server-wide batcher: a
-// single goroutine that drains every connection's pending writes into
-// one shard.Op slice and applies it with DB.ApplyBatch, taking each
-// shard's write lock once per drain instead of once per operation. The
-// batch preserves each connection's submission order, and per-op
-// outcome flags route each reply back to its connection. Under
-// concurrent load the batcher turns k lock acquisitions into at most
-// min(k, shards) — the same trick PutBatch plays for one caller,
+// PUTTTL, DEL and the namespaced writes) are handed to a server-wide
+// batcher: a single goroutine that drains every connection's pending
+// writes into one shard.Op slice and applies it with DB.ApplyBatch,
+// taking each shard's write lock once per drain instead of once per
+// operation. The batch preserves each connection's submission order,
+// and per-op outcome flags route each reply back to its connection.
+// Under concurrent load the batcher turns k lock acquisitions into at
+// most min(k, shards) — the same trick PutBatch plays for one caller,
 // applied across callers.
 //
 // # Ordering

@@ -124,85 +124,106 @@ func physicalLen(db *durable.DB) int {
 	return n
 }
 
-// noteInline records one inline-dispatched (non-coalesced) request's
-// phases and total latency, and feeds the slow-op log when the total
-// crosses its threshold. Timestamps: t0 receipt, td decode done, tw
-// barrier wait done, ta apply done; encode runs from ta to now. For
-// key-addressed ops hasKey routes the slow-op record's shard index;
-// the key itself never reaches telemetry.
+// keep mints r's span identity when tracing is on, which keeps the
+// request. Barriers are kept ahead of their apply — a barrier is worth
+// a trace by definition — so they can hand the identity to the durable
+// layer and the checkpoint span parents under the request; finish keeps
+// every other request that qualifies.
+func (s *Server) keep(r *request) {
+	if s.tr == nil {
+		return
+	}
+	if r.tid = r.tc.ID; r.tid == 0 {
+		r.tid = s.tr.NewID()
+	}
+	r.sid = s.tr.NewID()
+}
+
+// shardOf is the shard index a keyed request's telemetry reports: -1
+// for unkeyed ops and tenant cells, whose routing stays secret. The key
+// itself never reaches telemetry.
+func (s *Server) shardOf(r *request) int {
+	if !opTable[r.op].keyed {
+		return -1
+	}
+	return s.db.Store().ShardOf(r.key)
+}
+
+// finish answers r and runs the per-request tail: every reply, inline
+// or coalesced, success or error, goes through it. It enqueues the
+// reply (payload, or an error frame when code is nonzero), releases a
+// coalesced write's pending count, and then records the opcode latency
+// histogram (successes only; errors are counted, not timed), the span
+// tree when the request is kept, and the slow-op record when it crossed
+// the threshold. It reads the clock once, for the end of the encode
+// phase, and returns that time.
 //
-// When tracing is on and the request is kept — head-sampled by the
-// client, slow, or carrying preminted ids (CHECKPOINT) — noteInline
-// records the server span plus its four phase children, arms the
-// connection's flush attribution, and feeds the opcode histogram's
-// exemplar slot; the slow-op record then carries the trace id. Runs
-// on the reader goroutine only (reqT/preTID/preSID are safe to read).
-func (c *conn) noteInline(op byte, id uint64, inBytes, outBytes int, key int64, hasKey bool, t0, td, tw, ta time.Time) {
-	sm := c.srv.sm
+// A request is kept when it already carries an identity, when the
+// client head-sampled it, when it failed or was slow, or — arriving
+// with no trace context, so no client decision to defer to — when the
+// server's own head sample picks it. Every rule but slowness is decided
+// before the reply is queued, so the reply arms the flush attribution
+// itself.
+func (s *Server) finish(r *request, payload []byte, code byte, msg string) time.Time {
+	tr := s.tr
+	if tr != nil && r.sid == 0 && (r.tc.Sampled || code != 0 || (r.tc.ID == 0 && tr.Sample())) {
+		s.keep(r)
+	}
+	out := r.c.reply(r, payload, code, msg)
+	if r.queued {
+		r.c.pending.Done()
+	}
 	te := time.Now()
-	sm.phaseDecode.Observe(int64(td.Sub(t0)))
-	sm.phaseWait.Observe(int64(tw.Sub(td)))
-	sm.phaseApply.Observe(int64(ta.Sub(tw)))
-	sm.phaseEncode.Observe(int64(te.Sub(ta)))
-	total := te.Sub(t0)
-	if h := sm.ops[op]; h != nil {
+	total := te.Sub(r.t0)
+	h := s.sm.ops[r.op]
+	if code == 0 && h != nil {
 		h.Observe(int64(total))
 	}
-	slow := c.srv.slow.Slow(total)
-	var tid uint64
-	if tr := c.srv.tr; tr != nil {
-		sid := c.preSID
-		// An untraced request (no wire context) is the server's own to
-		// head-sample; a traced one defers to the client's decision.
-		keep := sid != 0 || c.reqT.Sampled || slow ||
-			(c.reqT.ID == 0 && tr.Sample())
-		if keep {
-			if sid != 0 {
-				tid = c.preTID
-				c.preTID, c.preSID = 0, 0
-			} else {
-				tid = c.reqT.ID
-				if tid == 0 {
-					tid = tr.NewID() // server-minted: slow but untraced upstream
-				}
-				sid = tr.NewID()
-			}
-			shard := int32(-1)
-			if hasKey {
-				shard = int32(c.srv.db.Store().ShardOf(key))
-			}
-			t0n := t0.UnixNano()
-			tr.Record(trace.Span{
-				Trace: tid, ID: sid, Parent: c.reqT.Span,
-				Start: t0n, Dur: int64(total),
-				Kind: trace.KindServer, Op: op, Shard: shard,
-				In: int32(inBytes), Out: int32(outBytes),
-			})
-			tr.Record(trace.Span{Trace: tid, ID: tr.NewID(), Parent: sid,
-				Start: t0n, Dur: int64(td.Sub(t0)), Kind: trace.KindDecode, Shard: shard})
-			tr.Record(trace.Span{Trace: tid, ID: tr.NewID(), Parent: sid,
-				Start: td.UnixNano(), Dur: int64(tw.Sub(td)), Kind: trace.KindWait, Shard: shard})
-			tr.Record(trace.Span{Trace: tid, ID: tr.NewID(), Parent: sid,
-				Start: tw.UnixNano(), Dur: int64(ta.Sub(tw)), Kind: trace.KindApply, Shard: shard})
-			tr.Record(trace.Span{Trace: tid, ID: tr.NewID(), Parent: sid,
-				Start: ta.UnixNano(), Dur: int64(te.Sub(ta)), Kind: trace.KindEncode, Shard: shard})
-			c.noteFlushTrace(tid, sid)
-			if h := sm.ops[op]; h != nil {
-				h.Exemplar(int64(total), tid)
-			}
+	slow := s.slow.Slow(total)
+	if tr != nil && r.sid == 0 && slow {
+		s.keep(r)
+		r.c.noteFlushTrace(r.tid, r.sid)
+	}
+	if r.sid != 0 {
+		s.recordSpans(r, te, out, code)
+		if code == 0 && h != nil {
+			h.Exemplar(int64(total), r.tid)
 		}
 	}
-	if sl := c.srv.slow; slow {
-		shard := -1
-		if hasKey {
-			shard = c.srv.db.Store().ShardOf(key)
-		}
-		sl.Record(obs.SlowOp{
-			Op: opLabels[op], ReqID: id, Shard: shard,
-			BytesIn: inBytes, BytesOut: outBytes,
-			Total: total, Decode: td.Sub(t0), Wait: tw.Sub(td),
-			Apply: ta.Sub(tw), Encode: te.Sub(ta),
-			Trace: tid,
+	if slow {
+		s.slow.Record(obs.SlowOp{
+			Op: opLabels[r.op], ReqID: r.id, Shard: s.shardOf(r),
+			BytesIn: r.in, BytesOut: out, Batch: r.batch,
+			Total: total, Decode: r.td.Sub(r.t0), Wait: r.tw.Sub(r.td),
+			Apply: r.ta.Sub(r.tw), Encode: te.Sub(r.ta),
+			Trace: r.tid,
 		})
 	}
+	return te
+}
+
+// recordSpans records a kept request's span tree under its identity:
+// the server span, parented under the client's span, with its decode /
+// wait / apply / encode children and, for a coalesced write, the batch
+// span.
+func (s *Server) recordSpans(r *request, te time.Time, out int, code byte) {
+	tr, tid, sid := s.tr, r.tid, r.sid
+	shard := int32(s.shardOf(r))
+	tr.Record(trace.Span{
+		Trace: tid, ID: sid, Parent: r.tc.Span,
+		Start: r.t0.UnixNano(), Dur: int64(te.Sub(r.t0)),
+		Kind: trace.KindServer, Op: r.op, Err: code, Shard: shard,
+		In: int32(r.in), Out: int32(out),
+	})
+	child := func(k trace.Kind, from, to time.Time, in int32) {
+		tr.Record(trace.Span{Trace: tid, ID: tr.NewID(), Parent: sid,
+			Start: from.UnixNano(), Dur: int64(to.Sub(from)), Kind: k, Shard: shard, In: in})
+	}
+	child(trace.KindDecode, r.t0, r.td, 0)
+	child(trace.KindWait, r.td, r.tw, 0)
+	if r.batch > 0 {
+		child(trace.KindBatch, r.tw, r.ta, int32(r.batch))
+	}
+	child(trace.KindApply, r.tw, r.ta, 0)
+	child(trace.KindEncode, r.ta, te, 0)
 }

@@ -92,18 +92,28 @@ func TestScrapeUnderLoad(t *testing.T) {
 
 	// After quiesce, the per-op histograms' totals must equal the
 	// dispatched request count exactly — nothing double counted or lost.
-	var histTotal uint64
-	for op := range opLabels {
-		if h := srv.sm.ops[op]; h != nil {
-			histTotal += h.Snapshot().Count
-		}
-	}
+	// A request's latency runs to its reply's enqueue, so the last
+	// observations can land just after the client holds every reply:
+	// wait for them, but never accept a count past the requests.
 	reqs := srv.st.requests.Load()
 	if reqs == 0 {
 		t.Fatal("workload issued no requests")
 	}
-	if histTotal != reqs {
-		t.Fatalf("op histograms hold %d observations, server dispatched %d", histTotal, reqs)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		var histTotal uint64
+		for op := range opLabels {
+			if h := srv.sm.ops[op]; h != nil {
+				histTotal += h.Snapshot().Count
+			}
+		}
+		if histTotal == reqs {
+			break
+		}
+		if histTotal > reqs || time.Now().After(deadline) {
+			t.Fatalf("op histograms hold %d observations, server dispatched %d", histTotal, reqs)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

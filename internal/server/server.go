@@ -226,8 +226,7 @@ func New(db *durable.DB, cfg Config) *Server {
 	if c.Metrics != nil {
 		registerServerFuncs(c.Metrics, s)
 	}
-	s.bat = newBatcher(db, &s.st, s.sm, s.slow, c.WriteQueue, c.MaxWriteBatch, c.NSQuota)
-	s.bat.tr = c.Trace
+	s.bat = newBatcher(s)
 	if c.Trace != nil {
 		// Synchronous barriers (CHECKPOINT, DROPNS) thread their trace
 		// into the durable layer so checkpoint/sweep spans join the
@@ -287,7 +286,7 @@ func (s *Server) sweepOnceNow() {
 	}
 	keys := s.db.Store().ExpiredKeys(epoch, nil)
 	for _, k := range keys {
-		s.bat.submit(writeReq{key: k, exp: epoch, expire: true})
+		s.bat.submit(writeReq{request: request{key: k}, exp: epoch, expire: true})
 	}
 	s.sweep.MarkDone(epoch)
 	if len(keys) > 0 {
@@ -435,7 +434,9 @@ func (s *Server) ServeConn(nc net.Conn) {
 func (s *Server) refuse(nc net.Conn, code byte, msg string) {
 	go func() {
 		nc.SetWriteDeadline(time.Now().Add(time.Second))
-		proto.WriteFrame(nc, errorFrame(0, code, msg))
+		proto.WriteFrame(nc, proto.Frame{
+			Ver: proto.Version, Op: proto.OpError, Payload: proto.AppendError(nil, code, msg),
+		})
 		nc.Close()
 	}()
 }
@@ -523,7 +524,7 @@ type conn struct {
 	srv *Server
 	nc  net.Conn
 
-	// Outbound replies, pre-encoded. sendFrame never blocks — it
+	// Outbound replies, pre-encoded. reply never blocks — it
 	// appends the encoded frame to out under qmu and signals qsig — so
 	// the server-wide write coalescer can never be stalled by one slow
 	// connection (it just disconnects a peer whose queue passes
@@ -547,32 +548,13 @@ type conn struct {
 	pending sync.WaitGroup
 
 	// Reader-goroutine scratch, reused across requests. Reply payloads
-	// are built in pscratch and copied into out by sendFrame before the
+	// are built in pscratch and copied into out by reply before the
 	// call returns, so reuse is safe; rangeBuf holds RANGE windows the
-	// same way. Only the reader goroutine touches either.
+	// same way, and arg the current request's decoded operands. Only the
+	// reader goroutine touches them.
 	pscratch []byte
 	rangeBuf []proto.Item
-
-	// Per-request wire state, written by readLoop before dispatch and
-	// read only on the reader goroutine: the frame's protocol version
-	// (replies echo it, which is what keeps v3 clients working against
-	// a v4 server) and its trace context. Coalesced writes carry copies
-	// in their writeReq instead — the batcher goroutine must never read
-	// these fields. reqOp/reqT0 let sendError record an error span for
-	// a traced request without threading more parameters through every
-	// decode-failure path.
-	reqVer byte
-	reqT   proto.TraceCtx
-	reqOp  byte
-	reqT0  time.Time
-
-	// A span identity preminted before an inline apply, for ops that
-	// must hand their trace to a lower layer mid-flight (CHECKPOINT
-	// threads it into durable so the checkpoint span can parent here).
-	// noteInline consumes it: nonzero preSID means "this request is
-	// kept, under exactly these ids". Reader-goroutine only.
-	preTID uint64
-	preSID uint64
+	arg      args
 
 	// The trace identity awaiting the next flush, set by whichever
 	// goroutine keeps a span tree (reader or batcher) and consumed by
@@ -602,55 +584,13 @@ func (c *conn) markDone() {
 	}
 }
 
-// sendFrame encodes a reply straight into the outbound buffer without
-// ever blocking the caller. The payload is copied before sendFrame
-// returns, so callers may reuse their payload scratch immediately.
-// Replies after end-of-stream are dropped; a peer whose queue is full
-// (it stopped reading) is disconnected.
-//
-// ver and tc are the request's protocol version and trace context,
-// passed explicitly because sendFrame runs on both the reader
-// goroutine (inline ops) and the coalescer goroutine (batched writes)
-// — per-conn "current request" fields would race. The reply is
-// encoded in the request's version (a v3 frame simply has nowhere to
-// put tc, and AppendFrame omits it) and echoes the trace context so
-// the client can confirm the server saw its ids.
-func (c *conn) sendFrame(op byte, id uint64, payload []byte, ver byte, tc proto.TraceCtx) {
-	c.qmu.Lock()
-	if c.qdone {
-		c.qmu.Unlock()
-		return
-	}
-	if c.nq >= maxReplyQueue {
-		c.qmu.Unlock()
-		c.close()
-		return
-	}
-	c.out = proto.AppendFrame(c.out, proto.Frame{Ver: ver, Op: op, ID: id, Payload: payload, Trace: tc})
-	c.nq++
-	c.qmu.Unlock()
-	select {
-	case c.qsig <- struct{}{}:
-	default:
-	}
-}
-
 // noteFlushTrace arms the writer's flush-span attribution for the
-// next flush on this connection. Called by whichever goroutine just
-// kept a span tree; last writer wins.
+// next flush on this connection, for a request whose keep decision
+// came after its reply was queued (slow requests); last writer wins.
 func (c *conn) noteFlushTrace(tid, sid uint64) {
 	c.qmu.Lock()
 	c.flushTID, c.flushSID = tid, sid
 	c.qmu.Unlock()
-}
-
-func errorFrame(id uint64, code byte, msg string) proto.Frame {
-	return proto.Frame{
-		Ver:     proto.Version,
-		Op:      proto.OpError,
-		ID:      id,
-		Payload: proto.AppendError(nil, code, msg),
-	}
 }
 
 // handle runs one connection to completion: a writer goroutine plus the
@@ -658,11 +598,10 @@ func errorFrame(id uint64, code byte, msg string) proto.Frame {
 func (s *Server) handle(nc net.Conn) {
 	defer s.wg.Done()
 	c := &conn{
-		srv:    s,
-		nc:     nc,
-		qsig:   make(chan struct{}, 1),
-		done:   make(chan struct{}),
-		reqVer: proto.Version, // until a frame says otherwise
+		srv:  s,
+		nc:   nc,
+		qsig: make(chan struct{}, 1),
+		done: make(chan struct{}),
 	}
 	s.mu.Lock()
 	s.conns[c] = struct{}{}
@@ -701,7 +640,7 @@ func (s *Server) handle(nc net.Conn) {
 // writeLoop serializes replies: swap the whole pending byte buffer for
 // a spare, write it with one syscall, repeat — so a burst of pipelined
 // replies costs one Write and zero per-frame work (frames were encoded
-// by sendFrame as they were queued). The two buffers alternate forever,
+// by reply as they were queued). The two buffers alternate forever,
 // so a steady pipeline stops allocating once both have grown to the
 // burst size. After a write error the connection is closed and later
 // replies are discarded; senders never block either way.
@@ -759,13 +698,13 @@ func (c *conn) writeLoop() {
 	}
 }
 
-// readLoop decodes and dispatches frames until the peer goes away, the
+// readLoop decodes and serves frames until the peer goes away, the
 // stream turns hostile, or shutdown expires the read deadline.
 func (c *conn) readLoop() {
 	s := c.srv
-	// FrameReader reuses one payload buffer across frames; dispatch
-	// honors its aliasing contract by fully consuming (decoding or
-	// copying) each payload before returning.
+	// FrameReader reuses one payload buffer across frames; serve honors
+	// its aliasing contract by fully consuming (decoding or copying)
+	// each payload before returning.
 	fr := proto.NewFrameReader(bufio.NewReaderSize(c.nc, 64<<10), s.cfg.MaxPayload)
 	for {
 		if s.closing.Load() {
@@ -781,47 +720,28 @@ func (c *conn) readLoop() {
 		}
 		f, err := fr.Next()
 		if err != nil {
-			// Framing violations get a parting error frame; EOF and
-			// deadline expiry are normal ends. Either way the stream
-			// cannot be resynchronized, so the connection ends. The
-			// stale per-request trace context is cleared first so the
-			// parting error is not misattributed to the previous
-			// request's trace.
-			c.reqT = proto.TraceCtx{}
-			if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) &&
-				!isTimeout(err) && !errors.Is(err, net.ErrClosed) {
-				code := byte(proto.ErrCodeBadFrame)
-				if errors.Is(err, proto.ErrFrameTooLarge) {
-					code = proto.ErrCodeTooLarge
-				}
-				c.sendError(0, code, err.Error())
+			// EOF and deadline expiry are normal ends. Framing violations
+			// and foreign versions get a parting error frame (a version
+			// refusal names the request: Next returns its header). Either
+			// way the stream cannot be resynchronized, so the connection
+			// ends.
+			code := byte(proto.ErrCodeBadFrame)
+			switch {
+			case errors.Is(err, io.EOF), errors.Is(err, io.ErrUnexpectedEOF),
+				isTimeout(err), errors.Is(err, net.ErrClosed):
+				return
+			case errors.Is(err, proto.ErrVersion):
+				code = proto.ErrCodeVersion
+			case errors.Is(err, proto.ErrFrameTooLarge):
+				code = proto.ErrCodeTooLarge
 			}
+			c.reply(&request{id: f.ID}, nil, code, err.Error())
 			return
 		}
 		t0 := time.Now() // receipt: phase timing starts here
-		wire := proto.HeaderSize + len(f.Payload)
-		if f.Ver >= 4 {
-			wire++ // extlen byte
-			if f.Trace.ID != 0 {
-				wire += proto.TraceExtLen
-			}
-		}
-		s.st.bytesIn.Add(uint64(wire))
+		s.st.bytesIn.Add(uint64(f.WireSize()))
 		s.st.requests.Add(1)
-		c.reqVer, c.reqT, c.reqOp, c.reqT0 = f.Ver, f.Trace, f.Op, t0
-		if f.Ver != proto.Version && f.Ver != proto.Version-1 {
-			// v3 frames (no trace extension) stay welcome; their replies
-			// are encoded as v3 by sendFrame. An unknown version gets
-			// its refusal in the server's own version — there is
-			// nothing better to speak.
-			c.reqVer = proto.Version
-			c.sendError(f.ID, proto.ErrCodeVersion,
-				fmt.Sprintf("protocol version %d, server speaks %d (and %d)", f.Ver, proto.Version, proto.Version-1))
-			return
-		}
-		if !c.dispatch(f, t0) {
-			return
-		}
+		c.serve(f, t0)
 		if cap(c.pscratch) > 64<<10 {
 			// A jumbo batch or range reply grew the scratch; don't pin
 			// it for the connection's lifetime.
@@ -835,474 +755,156 @@ func isTimeout(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-func (c *conn) sendError(id uint64, code byte, msg string) {
-	c.srv.st.errors.Add(1)
-	// Errors are cold; building the payload fresh keeps pscratch free
-	// for whatever reply construction the caller was in the middle of.
-	c.sendFrame(proto.OpError, id, proto.AppendError(nil, code, msg), c.reqVer, c.reqT)
-	// Tail-keep on error: a request that arrived with a trace context
-	// and failed keeps a server span carrying the error code, whatever
-	// the sampling decision was. Only the reader goroutine calls
-	// sendError, so reqOp/reqT0/reqT are safe to read. Framing errors
-	// (no parsed request) cleared reqT and record nothing.
-	if tr := c.srv.tr; tr != nil && c.reqT.ID != 0 {
-		tr.Record(trace.Span{
-			Trace: c.reqT.ID, ID: tr.NewID(), Parent: c.reqT.Span,
-			Start: c.reqT0.UnixNano(), Dur: int64(time.Since(c.reqT0)),
-			Kind: trace.KindServer, Op: c.reqOp, Err: code, Shard: -1,
-		})
-	}
+// request is one client request's identity and timing, passed
+// explicitly from receipt to finish: inline ops keep it on the reader
+// goroutine's stack, and coalesced writes carry it through the batcher
+// inside their writeReq.
+type request struct {
+	c   *conn // nil: a server-internal op (expiry sweep); no reply owed
+	op  byte
+	id  uint64
+	tc  proto.TraceCtx // the frame's trace context, echoed on the reply
+	in  int            // request payload bytes
+	key int64          // routes the shard index of keyed ops
+	// queued: handed to the batcher, so finish releases the
+	// connection's pending count. batch is the size of the coalesced
+	// ApplyBatch the request rode (0: not coalesced).
+	queued bool
+	batch  int
+	// Phase boundaries: receipt, decode done, wait done (in-flight-write
+	// barrier for inline ops, batch formation for coalesced ones), apply
+	// done. The finish routine stamps the end of encode.
+	t0, td, tw, ta time.Time
+	// The span identity of a kept request (see keep); zero sid: not
+	// kept, or not yet known to be.
+	tid, sid uint64
 }
 
-func (c *conn) reply(id uint64, op byte, payload []byte) {
-	c.sendFrame(op|proto.FlagReply, id, payload, c.reqVer, c.reqT)
-}
-
-// dispatch executes one request. It returns false when the connection
-// must close (protocol violation so severe the stream is untrustworthy
-// — currently nothing below qualifies; malformed payloads get an error
-// reply and the stream continues, since framing is still intact).
-//
-// t0 is the frame's receipt time. Each inline-served case captures the
-// phase boundaries (decode done / barrier-wait done / apply done) and
-// hands them to noteInline; coalesced writes record their decode phase
-// here and carry t0 into the batcher, which owns their wait/apply/
-// encode phases and total latency. Error paths are not timed — the
-// errors counter covers them.
-func (c *conn) dispatch(f proto.Frame, t0 time.Time) bool {
-	s := c.srv
-	if s.readOnly.Load() && mutates(f) {
-		s.st.readOnlyRejected.Add(1)
-		c.sendError(f.ID, proto.ErrCodeReadOnly,
-			fmt.Sprintf("%s: this node is a read replica; send writes to the primary", proto.OpName(f.Op)))
-		return true
+// reply encodes r's answer straight into the outbound buffer — payload
+// under op|FlagReply, or, when code is nonzero, an error frame carrying
+// msg — and returns the payload size. It never blocks: the payload is
+// copied before reply returns, so callers may reuse their scratch at
+// once. Replies after end-of-stream are dropped; a peer whose queue is
+// full (it stopped reading) is disconnected. It runs on both the reader
+// goroutine (inline ops) and the coalescer goroutine (batched writes).
+// The reply echoes the request's trace context, and a request already
+// known to be kept (nonzero sid) arms the writer's flush-span
+// attribution in the same critical section as the enqueue, so the
+// flush that carries the reply finds it.
+func (c *conn) reply(r *request, payload []byte, code byte, msg string) int {
+	op := r.op | proto.FlagReply
+	if code != 0 {
+		// Errors are cold; building the payload fresh keeps the caller's
+		// scratch free.
+		c.srv.st.errors.Add(1)
+		op, payload = proto.OpError, proto.AppendError(nil, code, msg)
 	}
-	switch f.Op {
-	case proto.OpPut:
-		key, val, err := proto.DecodeKeyVal(f.Payload)
-		if err != nil {
-			c.sendError(f.ID, proto.ErrCodeBadFrame, err.Error())
-			return true
-		}
-		s.st.writes.Add(1)
-		td := time.Now()
-		s.sm.phaseDecode.Observe(int64(td.Sub(t0)))
-		c.pending.Add(1)
-		s.bat.submit(writeReq{key: key, val: val, id: f.ID, c: c, t0: t0, td: td, ver: f.Ver, tc: f.Trace, in: len(f.Payload)})
-
-	case proto.OpPutTTL:
-		key, val, exp, err := proto.DecodeKeyValExp(f.Payload)
-		if err != nil {
-			c.sendError(f.ID, proto.ErrCodeBadFrame, err.Error())
-			return true
-		}
-		s.st.writes.Add(1)
-		td := time.Now()
-		s.sm.phaseDecode.Observe(int64(td.Sub(t0)))
-		c.pending.Add(1)
-		s.bat.submit(writeReq{key: key, val: val, exp: exp, ttl: true, id: f.ID, c: c, t0: t0, td: td, ver: f.Ver, tc: f.Trace, in: len(f.Payload)})
-
-	case proto.OpDel:
-		key, err := proto.DecodeKey(f.Payload)
-		if err != nil {
-			c.sendError(f.ID, proto.ErrCodeBadFrame, err.Error())
-			return true
-		}
-		s.st.writes.Add(1)
-		td := time.Now()
-		s.sm.phaseDecode.Observe(int64(td.Sub(t0)))
-		c.pending.Add(1)
-		s.bat.submit(writeReq{key: key, del: true, id: f.ID, c: c, t0: t0, td: td, ver: f.Ver, tc: f.Trace, in: len(f.Payload)})
-
-	case proto.OpGet:
-		key, err := proto.DecodeKey(f.Payload)
-		if err != nil {
-			c.sendError(f.ID, proto.ErrCodeBadFrame, err.Error())
-			return true
-		}
-		s.st.reads.Add(1)
-		td := time.Now()
-		c.pending.Wait() // program order: reads see this conn's writes
-		tw := time.Now()
-		val, ok := s.db.Get(key)
-		ta := time.Now()
-		c.pscratch = proto.AppendFound(c.pscratch[:0], ok, val, s.db.Checkpoints())
-		c.reply(f.ID, proto.OpGet, c.pscratch)
-		c.noteInline(proto.OpGet, f.ID, len(f.Payload), len(c.pscratch), key, true, t0, td, tw, ta)
-
-	case proto.OpGetTTL:
-		key, err := proto.DecodeKey(f.Payload)
-		if err != nil {
-			c.sendError(f.ID, proto.ErrCodeBadFrame, err.Error())
-			return true
-		}
-		s.st.reads.Add(1)
-		td := time.Now()
-		c.pending.Wait()
-		tw := time.Now()
-		val, exp, ok := s.db.GetTTL(key)
-		ta := time.Now()
-		c.pscratch = proto.AppendFoundTTL(c.pscratch[:0], ok, val, exp, s.db.Checkpoints())
-		c.reply(f.ID, proto.OpGetTTL, c.pscratch)
-		c.noteInline(proto.OpGetTTL, f.ID, len(f.Payload), len(c.pscratch), key, true, t0, td, tw, ta)
-
-	case proto.OpBatch:
-		kind, items, keys, err := proto.DecodeBatch(f.Payload)
-		if err != nil {
-			c.sendError(f.ID, proto.ErrCodeBadFrame, err.Error())
-			return true
-		}
-		td := time.Now()
-		c.pending.Wait()
-		tw := time.Now()
-		switch kind {
-		case proto.BatchPut:
-			s.st.writes.Add(uint64(len(items)))
-			n := s.db.PutBatch(items)
-			ta := time.Now()
-			c.pscratch = proto.AppendU32(c.pscratch[:0], uint32(n))
-			c.reply(f.ID, proto.OpBatch, c.pscratch)
-			c.noteInline(proto.OpBatch, f.ID, len(f.Payload), len(c.pscratch), 0, false, t0, td, tw, ta)
-		case proto.BatchGet:
-			if len(keys) > proto.MaxBatchGet {
-				// The reply (9 bytes per key) would exceed the frame
-				// payload cap even though the request fit under it.
-				c.sendError(f.ID, proto.ErrCodeTooLarge,
-					fmt.Sprintf("batch-get of %d keys exceeds the %d-key reply cap", len(keys), proto.MaxBatchGet))
-				return true
-			}
-			s.st.reads.Add(uint64(len(keys)))
-			vals, ok := s.db.GetBatch(keys)
-			ta := time.Now()
-			c.pscratch = proto.AppendBatchGetReply(c.pscratch[:0], vals, ok, s.db.Checkpoints())
-			c.reply(f.ID, proto.OpBatch, c.pscratch)
-			c.noteInline(proto.OpBatch, f.ID, len(f.Payload), len(c.pscratch), 0, false, t0, td, tw, ta)
-		case proto.BatchDel:
-			s.st.writes.Add(uint64(len(keys)))
-			n := s.db.DeleteBatch(keys)
-			ta := time.Now()
-			c.pscratch = proto.AppendU32(c.pscratch[:0], uint32(n))
-			c.reply(f.ID, proto.OpBatch, c.pscratch)
-			c.noteInline(proto.OpBatch, f.ID, len(f.Payload), len(c.pscratch), 0, false, t0, td, tw, ta)
-		}
-
-	case proto.OpRange:
-		lo, hi, max, err := proto.DecodeRangeReq(f.Payload)
-		if err != nil {
-			c.sendError(f.ID, proto.ErrCodeBadFrame, err.Error())
-			return true
-		}
-		s.st.reads.Add(1)
-		td := time.Now()
-		c.pending.Wait()
-		tw := time.Now()
-		limit := s.cfg.MaxRangeItems
-		if max > 0 && int(max) < limit {
-			limit = int(max)
-		}
-		// RangeN bounds work and memory by the limit, not the window
-		// size, so a whole-keyspace RANGE costs O(shards·limit).
-		items, more := s.db.RangeN(lo, hi, limit, c.rangeBuf[:0])
-		ta := time.Now()
-		c.rangeBuf = items
-		c.pscratch = proto.AppendRangeReply(c.pscratch[:0], items, more, s.db.Checkpoints())
-		c.reply(f.ID, proto.OpRange, c.pscratch)
-		c.noteInline(proto.OpRange, f.ID, len(f.Payload), len(c.pscratch), 0, false, t0, td, tw, ta)
-
-	case proto.OpLen:
-		s.st.reads.Add(1)
-		td := time.Now()
-		c.pending.Wait()
-		tw := time.Now()
-		n := uint64(s.db.Len())
-		ta := time.Now()
-		c.pscratch = proto.AppendLenReply(c.pscratch[:0], n, s.db.Checkpoints())
-		c.reply(f.ID, proto.OpLen, c.pscratch)
-		c.noteInline(proto.OpLen, f.ID, len(f.Payload), len(c.pscratch), 0, false, t0, td, tw, ta)
-
-	case proto.OpCheckpoint:
-		// A durability barrier: everything this connection has been
-		// acknowledged for is on disk when the reply arrives. When
-		// tracing, the span identity is minted up front (the barrier is
-		// inherently slow — always kept) so the durable layer's
-		// checkpoint/sweep spans can parent under this request's server
-		// span; noteInline consumes the premint instead of re-deciding.
-		var ptid, psid uint64
-		if s.tr != nil {
-			ptid = f.Trace.ID
-			if ptid == 0 {
-				ptid = s.tr.NewID()
-			}
-			psid = s.tr.NewID()
-			c.preTID, c.preSID = ptid, psid
-		}
-		td := time.Now()
-		c.pending.Wait()
-		tw := time.Now()
-		if err := s.db.CheckpointTraced(ptid, psid); err != nil {
-			c.preTID, c.preSID = 0, 0
-			c.sendError(f.ID, proto.ErrCodeInternal, err.Error())
-			return true
-		}
-		ta := time.Now() // apply phase = the checkpoint commit itself
-		c.pscratch = proto.AppendU64(c.pscratch[:0], s.db.Checkpoints())
-		c.reply(f.ID, proto.OpCheckpoint, c.pscratch)
-		c.noteInline(proto.OpCheckpoint, f.ID, len(f.Payload), len(c.pscratch), 0, false, t0, td, tw, ta)
-
-	case proto.OpPing:
-		// f.Payload may alias the FrameReader's reused buffer; sendFrame
-		// copies it into the outbound queue before returning, so the
-		// echo is captured before the next frame overwrites it.
-		tn := time.Now()
-		c.reply(f.ID, proto.OpPing, f.Payload)
-		c.noteInline(proto.OpPing, f.ID, len(f.Payload), len(f.Payload), 0, false, t0, tn, tn, tn)
-
-	case proto.OpHealth:
-		// A liveness probe with a staleness report. Deliberately NO
-		// pending.Wait: a health check must answer even when the write
-		// path is backed up — failover decisions hinge on it.
-		if len(f.Payload) != 0 {
-			c.sendError(f.ID, proto.ErrCodeBadFrame, "health request carries a payload")
-			return true
-		}
-		epoch, hash := s.db.CheckpointStamp()
-		tn := time.Now()
-		c.pscratch = proto.AppendHealth(c.pscratch[:0], proto.Health{
-			ReadOnly:   s.readOnly.Load(),
-			Promotions: s.promotions.Load(),
-			Epoch:      epoch,
-			Hash:       hash,
-		})
-		c.reply(f.ID, proto.OpHealth, c.pscratch)
-		c.noteInline(proto.OpHealth, f.ID, len(f.Payload), len(c.pscratch), 0, false, t0, tn, tn, tn)
-
-	case proto.OpPromote:
-		if len(f.Payload) != 0 {
-			c.sendError(f.ID, proto.ErrCodeBadFrame, "promote request carries a payload")
-			return true
-		}
-		td := time.Now()
-		n, err := s.Promote()
-		if err != nil {
-			c.sendError(f.ID, proto.ErrCodeNotReplica, err.Error())
-			return true
-		}
-		ta := time.Now()
-		c.pscratch = proto.AppendU64(c.pscratch[:0], n)
-		c.reply(f.ID, proto.OpPromote, c.pscratch)
-		c.noteInline(proto.OpPromote, f.ID, len(f.Payload), len(c.pscratch), 0, false, t0, td, td, ta)
-
-	case proto.OpNSPut:
-		ns, key, val, exp, err := proto.DecodeNSKeyValExp(f.Payload)
-		if err != nil {
-			c.sendError(f.ID, proto.ErrCodeBadFrame, err.Error())
-			return true
-		}
-		s.st.writes.Add(1)
-		s.st.nsOps.Add(1)
-		td := time.Now()
-		s.sm.phaseDecode.Observe(int64(td.Sub(t0)))
-		c.pending.Add(1)
-		s.bat.submit(writeReq{ns: ns, key: key, val: val, exp: exp, id: f.ID, c: c, t0: t0, td: td, ver: f.Ver, tc: f.Trace, in: len(f.Payload)})
-
-	case proto.OpNSGet:
-		ns, key, err := proto.DecodeNSKey(f.Payload)
-		if err != nil {
-			c.sendError(f.ID, proto.ErrCodeBadFrame, err.Error())
-			return true
-		}
-		s.st.reads.Add(1)
-		s.st.nsOps.Add(1)
-		td := time.Now()
-		c.pending.Wait() // program order: reads see this conn's writes
-		tw := time.Now()
-		val, exp, ok := s.db.NSGetTTL(ns, key)
-		ta := time.Now()
-		c.pscratch = proto.AppendFoundTTL(c.pscratch[:0], ok, val, exp, s.db.Checkpoints())
-		c.reply(f.ID, proto.OpNSGet, c.pscratch)
-		c.noteInline(proto.OpNSGet, f.ID, len(f.Payload), len(c.pscratch), 0, false, t0, td, tw, ta)
-
-	case proto.OpNSDel:
-		ns, key, err := proto.DecodeNSKey(f.Payload)
-		if err != nil {
-			c.sendError(f.ID, proto.ErrCodeBadFrame, err.Error())
-			return true
-		}
-		s.st.writes.Add(1)
-		s.st.nsOps.Add(1)
-		td := time.Now()
-		s.sm.phaseDecode.Observe(int64(td.Sub(t0)))
-		c.pending.Add(1)
-		s.bat.submit(writeReq{ns: ns, key: key, del: true, id: f.ID, c: c, t0: t0, td: td, ver: f.Ver, tc: f.Trace, in: len(f.Payload)})
-
-	case proto.OpDropNS:
-		ns, err := proto.DecodeNSName(f.Payload)
-		if err != nil {
-			c.sendError(f.ID, proto.ErrCodeBadFrame, err.Error())
-			return true
-		}
-		s.st.writes.Add(1)
-		s.st.nsOps.Add(1)
-		td := time.Now()
-		s.sm.phaseDecode.Observe(int64(td.Sub(t0)))
-		c.pending.Add(1)
-		s.bat.submit(writeReq{ns: ns, drop: true, id: f.ID, c: c, t0: t0, td: td, ver: f.Ver, tc: f.Trace, in: len(f.Payload)})
-
-	case proto.OpListNS:
-		if len(f.Payload) != 0 {
-			c.sendError(f.ID, proto.ErrCodeBadFrame, "list-namespaces request carries a payload")
-			return true
-		}
-		s.st.reads.Add(1)
-		s.st.nsOps.Add(1)
-		td := time.Now()
-		c.pending.Wait()
-		tw := time.Now()
-		nss := s.db.Namespaces()
-		ta := time.Now()
-		if len(nss) > proto.MaxListNS {
-			c.sendError(f.ID, proto.ErrCodeTooLarge,
-				fmt.Sprintf("%d namespaces exceed the %d-entry reply cap", len(nss), proto.MaxListNS))
-			return true
-		}
-		out := make([]proto.NSStat, len(nss))
-		for i, e := range nss {
-			out[i] = proto.NSStat{Name: e.Name, Keys: uint64(e.Keys)}
-		}
-		payload := proto.AppendNSList(nil, uint64(s.cfg.NSQuota), out)
-		if len(payload) > proto.MaxPayload {
-			c.sendError(f.ID, proto.ErrCodeTooLarge, "namespace listing exceeds the frame payload cap")
-			return true
-		}
-		c.reply(f.ID, proto.OpListNS, payload)
-		c.noteInline(proto.OpListNS, f.ID, len(f.Payload), len(payload), 0, false, t0, td, tw, ta)
-
-	case proto.OpShardHash:
-		// Replication: advertise the last committed checkpoint's
-		// canonical per-shard hashes. A barrier over this connection's
-		// writes makes SHARDHASH-after-CHECKPOINT see that checkpoint.
-		// An empty request addresses the default keyspace (the reply
-		// appends the committed namespace-name table); a request carrying
-		// nslen(2) ns addresses that tenant's cell.
-		s.st.syncHashes.Add(1)
-		if len(f.Payload) != 0 {
-			ns, err := proto.DecodeNSName(f.Payload)
-			if err != nil {
-				c.sendError(f.ID, proto.ErrCodeBadFrame, err.Error())
-				return true
-			}
-			td := time.Now()
-			c.pending.Wait()
-			tw := time.Now()
-			nsHseed, entries, err := s.db.NSShardHashes(ns)
-			if err != nil {
-				code := byte(proto.ErrCodeInternal)
-				if errors.Is(err, durable.ErrNoNamespace) {
-					code = proto.ErrCodeBadFrame
-				}
-				c.sendError(f.ID, code, err.Error())
-				return true
-			}
-			ta := time.Now()
-			if len(entries) > proto.MaxSyncShards {
-				c.sendError(f.ID, proto.ErrCodeTooLarge,
-					fmt.Sprintf("%d shards exceed the %d-shard reply cap", len(entries), proto.MaxSyncShards))
-				return true
-			}
-			out := make([]proto.ShardHash, len(entries))
-			for i, e := range entries {
-				out[i] = proto.ShardHash{Size: e.Size, Hash: e.Hash}
-			}
-			payload := proto.AppendShardHashes(nil, nsHseed, out)
-			c.reply(f.ID, proto.OpShardHash, payload)
-			c.noteInline(proto.OpShardHash, f.ID, len(f.Payload), len(payload), 0, false, t0, td, tw, ta)
-			return true
-		}
-		td := time.Now()
-		c.pending.Wait()
-		tw := time.Now()
-		hseed, entries, err := s.db.ShardHashes()
-		if err != nil {
-			c.sendError(f.ID, proto.ErrCodeInternal, err.Error())
-			return true
-		}
-		names, err := s.db.NSNames()
-		if err != nil {
-			c.sendError(f.ID, proto.ErrCodeInternal, err.Error())
-			return true
-		}
-		ta := time.Now()
-		if len(entries) > proto.MaxSyncShards {
-			c.sendError(f.ID, proto.ErrCodeTooLarge,
-				fmt.Sprintf("%d shards exceed the %d-shard reply cap", len(entries), proto.MaxSyncShards))
-			return true
-		}
-		out := make([]proto.ShardHash, len(entries))
-		for i, e := range entries {
-			out[i] = proto.ShardHash{Size: e.Size, Hash: e.Hash}
-		}
-		payload := proto.AppendShardHashesNS(nil, hseed, out, names)
-		if len(payload) > proto.MaxPayload {
-			c.sendError(f.ID, proto.ErrCodeTooLarge, "shard-hash reply exceeds the frame payload cap")
-			return true
-		}
-		c.reply(f.ID, proto.OpShardHash, payload)
-		c.noteInline(proto.OpShardHash, f.ID, len(f.Payload), len(payload), 0, false, t0, td, tw, ta)
-
-	case proto.OpSync:
-		shardIdx, hash, off, maxLen, ns, err := proto.DecodeSyncReqNS(f.Payload)
-		if err != nil {
-			c.sendError(f.ID, proto.ErrCodeBadFrame, err.Error())
-			return true
-		}
-		s.st.syncChunks.Add(1)
-		td := time.Now()
-		img, err := s.shardImage(ns, int(shardIdx), hash)
-		switch {
-		case errors.Is(err, durable.ErrStaleShard):
-			c.sendError(f.ID, proto.ErrCodeStale, err.Error())
-			return true
-		case errors.Is(err, durable.ErrNoNamespace):
-			c.sendError(f.ID, proto.ErrCodeBadFrame, err.Error())
-			return true
-		case err != nil:
-			c.sendError(f.ID, proto.ErrCodeInternal, err.Error())
-			return true
-		}
-		if off > uint64(len(img)) {
-			c.sendError(f.ID, proto.ErrCodeBadFrame,
-				fmt.Sprintf("offset %d past the %d-byte image", off, len(img)))
-			return true
-		}
-		limit := s.cfg.MaxSyncChunk
-		if maxLen > 0 && int(maxLen) < limit {
-			limit = int(maxLen)
-		}
-		end := int(off) + limit
-		if end > len(img) {
-			end = len(img)
-		}
-		chunk := img[off:end]
-		more := end < len(img)
-		if !more {
-			// The fetcher just took the image's last chunk; release the
-			// cache rather than pin a whole shard image between syncs.
-			s.syncMu.Lock()
-			if s.syncNS == ns && s.syncIdx == int(shardIdx) && s.syncHash == hash {
-				s.syncImage = nil
-			}
-			s.syncMu.Unlock()
-		}
-		s.st.syncBytesOut.Add(uint64(len(chunk)))
-		ta := time.Now()
-		payload := proto.AppendSyncChunk(nil, more, chunk)
-		c.reply(f.ID, proto.OpSync, payload)
-		c.noteInline(proto.OpSync, f.ID, len(f.Payload), len(payload), 0, false, t0, td, td, ta)
-
+	c.qmu.Lock()
+	if c.qdone {
+		c.qmu.Unlock()
+		return len(payload)
+	}
+	if c.nq >= maxReplyQueue {
+		c.qmu.Unlock()
+		c.close()
+		return len(payload)
+	}
+	c.out = proto.AppendFrame(c.out, proto.Frame{Ver: proto.Version, Op: op, ID: r.id, Payload: payload, Trace: r.tc})
+	c.nq++
+	if r.sid != 0 {
+		c.flushTID, c.flushSID = r.tid, r.sid
+	}
+	c.qmu.Unlock()
+	select {
+	case c.qsig <- struct{}{}:
 	default:
-		c.sendError(f.ID, proto.ErrCodeUnknownOp, proto.OpName(f.Op))
 	}
-	return true
+	return len(payload)
+}
+
+// fail answers an inline request with an error and finishes it. Phases
+// the request never reached are stamped empty at the failure point.
+func (c *conn) fail(r *request, code byte, msg string) {
+	now := time.Now()
+	if r.td.IsZero() {
+		r.td = now
+	}
+	if r.tw.IsZero() {
+		r.tw = r.td
+	}
+	if r.ta.IsZero() {
+		r.ta = r.tw
+	}
+	c.srv.finish(r, nil, code, msg)
+}
+
+// serve runs one request through its opcode's table entry. This is the
+// one place that does what every opcode repeats: the read-only refusal,
+// decode-error replies, counters, phase timestamps, the program-order
+// wait for this connection's in-flight writes, and the reply. t0 is the
+// frame's receipt time. Malformed payloads get an error reply and the
+// stream continues, since framing is still intact.
+func (c *conn) serve(f proto.Frame, t0 time.Time) {
+	s := c.srv
+	e := &opTable[f.Op]
+	r := request{c: c, op: f.Op, id: f.ID, tc: f.Trace, in: len(f.Payload), t0: t0}
+	if e.class == classUnknown {
+		c.reply(&r, nil, proto.ErrCodeUnknownOp, proto.OpName(f.Op))
+		return
+	}
+	if e.mutating != nil && s.readOnly.Load() && e.mutating(f.Payload) {
+		// Refused before decoding: a malformed write gets the error that
+		// tells the client where writes go.
+		s.st.readOnlyRejected.Add(1)
+		c.fail(&r, proto.ErrCodeReadOnly,
+			fmt.Sprintf("%s: this node is a read replica; send writes to the primary", proto.OpName(f.Op)))
+		return
+	}
+	a := &c.arg
+	*a = args{}
+	if err := e.decode(a, f.Payload); err != nil {
+		c.fail(&r, proto.ErrCodeBadFrame, err.Error())
+		return
+	}
+	r.key = a.key
+	r.td = time.Now()
+	if e.class == classWrite {
+		// The batcher owns the rest: coalesce-wait, apply, reply, finish.
+		s.st.writes.Add(1)
+		s.sm.phaseDecode.Observe(int64(r.td.Sub(t0)))
+		c.pending.Add(1)
+		r.queued = true
+		s.bat.submit(writeReq{request: r, val: a.val, exp: a.exp, ns: a.ns})
+		return
+	}
+	r.tw = r.td
+	if e.class != classAdmin {
+		c.pending.Wait() // program order: this conn's writes land first
+		r.tw = time.Now()
+	}
+	if e.class == classBarrier {
+		s.keep(&r)
+		a.tid, a.sid = r.tid, r.sid
+	}
+	r.ta = r.tw
+	if e.exec != nil {
+		if err := e.exec(c, a); err != nil {
+			c.fail(&r, codeOf(err), err.Error())
+			return
+		}
+		r.ta = time.Now()
+	}
+	c.pscratch = e.encode(c, a, c.pscratch[:0])
+	if len(c.pscratch) > proto.MaxPayload {
+		c.fail(&r, proto.ErrCodeTooLarge,
+			fmt.Sprintf("%d-byte %s reply exceeds the frame payload cap", len(c.pscratch), proto.OpName(f.Op)))
+		return
+	}
+	te := s.finish(&r, c.pscratch, 0, "")
+	s.sm.phaseDecode.Observe(int64(r.td.Sub(t0)))
+	s.sm.phaseWait.Observe(int64(r.tw.Sub(r.td)))
+	s.sm.phaseApply.Observe(int64(r.ta.Sub(r.tw)))
+	s.sm.phaseEncode.Observe(int64(te.Sub(r.ta)))
 }
 
 // shardImage returns the committed image for (ns, idx, hash) through
@@ -1329,19 +931,4 @@ func (s *Server) shardImage(ns string, idx int, hash [32]byte) ([]byte, error) {
 	s.syncNS, s.syncIdx, s.syncHash, s.syncImage = ns, idx, hash, img
 	s.syncMu.Unlock()
 	return img, nil
-}
-
-// mutates reports whether a request would change the database: the ops
-// a read replica must refuse. Malformed mutating payloads are also
-// refused (rejection is decided before decoding), which is fine — the
-// error the client gets is the one that tells it where writes go.
-func mutates(f proto.Frame) bool {
-	switch f.Op {
-	case proto.OpPut, proto.OpPutTTL, proto.OpDel, proto.OpCheckpoint,
-		proto.OpNSPut, proto.OpNSDel, proto.OpDropNS:
-		return true
-	case proto.OpBatch:
-		return len(f.Payload) < 1 || f.Payload[0] != proto.BatchGet
-	}
-	return false
 }

@@ -246,23 +246,33 @@ func TestHostileFrames(t *testing.T) {
 	srv, addr := startTCP(t, db, Config{})
 	defer srv.Close()
 
-	// Bad version byte.
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
+	// Bad version byte: an unknown version, and a version-3 frame in
+	// its own pre-extension layout (length counts 10 + payload, no
+	// extlen byte). Both are refused with ErrCodeVersion naming the
+	// request.
+	v3 := []byte{0, 0, 0, 10, 3, proto.OpLen, 0, 0, 0, 0, 0, 0, 0, 7}
+	for _, bad := range [][]byte{
+		proto.AppendFrame(nil, proto.Frame{Ver: 99, Op: proto.OpLen, ID: 7}),
+		v3,
+		append(append([]byte{0, 0, 0, 18}, v3[4:]...), proto.AppendKey(nil, 1)...),
+	} {
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nc.Write(bad)
+		f, err := proto.ReadFrame(nc, 0)
+		if err != nil {
+			t.Fatalf("no reply to bad version % x: %v", bad[:5], err)
+		}
+		if f.Op != proto.OpError || f.ID != 7 {
+			t.Fatalf("reply op %s id %d", proto.OpName(f.Op), f.ID)
+		}
+		if code, _, _ := proto.DecodeError(f.Payload); code != proto.ErrCodeVersion {
+			t.Fatalf("code %s", proto.ErrCodeName(code))
+		}
+		nc.Close()
 	}
-	proto.WriteFrame(nc, proto.Frame{Ver: 99, Op: proto.OpLen, ID: 7})
-	f, err := proto.ReadFrame(nc, 0)
-	if err != nil {
-		t.Fatalf("no reply to bad version: %v", err)
-	}
-	if f.Op != proto.OpError {
-		t.Fatalf("reply op %s", proto.OpName(f.Op))
-	}
-	if code, _, _ := proto.DecodeError(f.Payload); code != proto.ErrCodeVersion {
-		t.Fatalf("code %s", proto.ErrCodeName(code))
-	}
-	nc.Close()
 
 	// Unknown opcode: error reply, but the connection survives.
 	c, err := net.Dial("tcp", addr)
