@@ -800,3 +800,37 @@ func BenchmarkStoreCheckpointIncremental(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkStoreCheckpointFull is the other end of the scale: 200k keys
+// over 8 shards, with 64 overwrites spread across the keyspace before
+// each commit, so every shard is dirty and every image is re-rendered,
+// hashed and published. B/op includes MemFS's own copy of each file.
+func BenchmarkStoreCheckpointFull(b *testing.B) {
+	const keys, dirty = 200_000, 64
+	fs := durable.NewMemFS()
+	db, err := Open("bench-db", &DBOptions{
+		Shards: 8, Seed: 5, NoBackground: true, FS: fs,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	items := make([]Item, keys)
+	for i := range items {
+		items[i] = Item{Key: int64(i), Val: int64(i)}
+	}
+	db.PutBatch(items)
+	if err := db.Checkpoint(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < dirty; j++ {
+			db.Put(int64(j*(keys/dirty)), int64(i))
+		}
+		if err := db.Checkpoint(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

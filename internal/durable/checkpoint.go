@@ -1,10 +1,8 @@
 package durable
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"fmt"
 	"time"
 
 	"repro/internal/expiry"
@@ -39,18 +37,6 @@ func (db *DB) CheckpointTraced(tid, psid uint64) error {
 		return ErrClosed
 	}
 	return db.checkpoint(tid, psid)
-}
-
-// pendingShard is one shard image staged for publication. For a
-// tenant-cell shard, cell is the cell and nsHseed its derived routing
-// seed; for a default shard both are zero.
-type pendingShard struct {
-	idx     int
-	data    []byte
-	hash    [32]byte
-	version uint64
-	cell    *namespace.Cell
-	nsHseed uint64
 }
 
 // checkpoint commits the current contents (see Checkpoint). tid/psid
@@ -104,43 +90,12 @@ func (db *DB) checkpoint(tid, psid uint64) error {
 			}
 		}
 	}
-	nsh := s.NumShards()
-	newMan := &manifest{hseed: s.RoutingSeed(), shards: make([]shardEntry, nsh)}
+	newMan := &manifest{hseed: s.RoutingSeed()}
 	var writes []pendingShard
-	// Render buffers come from (and return to) renderPool; pendingShard
-	// data aliases them, so they go back only at exit, after the images
-	// have been published.
-	var bufs []*bytes.Buffer
-	defer func() {
-		for _, b := range bufs {
-			db.renderPool.Put(b)
-		}
-	}()
-	for i := 0; i < nsh; i++ {
-		if db.man != nil && s.ShardVersion(i) == db.cpVersions[i] {
-			newMan.shards[i] = db.man.shards[i] // image still current
-			continue
-		}
-		buf, _ := db.renderPool.Get().(*bytes.Buffer)
-		if buf == nil {
-			buf = new(bytes.Buffer)
-		}
-		buf.Reset()
-		bufs = append(bufs, buf)
-		ver, _, err := s.SnapshotShard(i, buf)
-		if err != nil {
-			return fmt.Errorf("durable: snapshotting shard %d: %w", i, err)
-		}
-		h := sha256.Sum256(buf.Bytes())
-		newMan.shards[i] = shardEntry{size: int64(buf.Len()), hash: h}
-		if db.man != nil && h == db.man.shards[i].hash {
-			// Version moved but the canonical bytes did not (e.g. an
-			// insert undone by a delete): the committed file is already
-			// exact, so just advance the version floor.
-			db.cpVersions[i] = ver
-			continue
-		}
-		writes = append(writes, pendingShard{idx: i, data: buf.Bytes(), hash: h, version: ver})
+	var err error
+	newMan.shards, writes, err = render(setOf(newMan.hseed, ""), s, db.cpVersions, db.man.entries(""), writes)
+	if err != nil {
+		return err
 	}
 
 	// Tenant cells, in canonical (byte-sorted) name order. A cell that
@@ -149,11 +104,7 @@ func (db *DB) checkpoint(tid, psid uint64) error {
 	// never-existed.
 	var manCells []*namespace.Cell
 	for _, c := range cells {
-		phys := 0
-		for i := 0; i < c.Store.NumShards(); i++ {
-			phys += c.Store.ShardLen(i)
-		}
-		if phys == 0 {
+		if physLen(c.Store) == 0 {
 			continue
 		}
 		if c.CPVersions == nil {
@@ -167,36 +118,14 @@ func (db *DB) checkpoint(tid, psid uint64) error {
 		// resurrect the dropped tenant's images. Committed is set only
 		// when this cell's own entry lands in a manifest, so an
 		// uncommitted cell always renders in full.
-		var prev *nsEntry
-		if c.Committed && db.man != nil {
-			prev = db.man.nsAt(c.Name)
+		var prev []shardEntry
+		if c.Committed {
+			prev = db.man.entries(c.Name)
 		}
-		ent := nsEntry{name: c.Name, shards: make([]shardEntry, c.Store.NumShards())}
-		for i := range ent.shards {
-			if prev != nil && c.Store.ShardVersion(i) == c.CPVersions[i] {
-				ent.shards[i] = prev.shards[i]
-				continue
-			}
-			buf, _ := db.renderPool.Get().(*bytes.Buffer)
-			if buf == nil {
-				buf = new(bytes.Buffer)
-			}
-			buf.Reset()
-			bufs = append(bufs, buf)
-			ver, _, err := c.Store.SnapshotShard(i, buf)
-			if err != nil {
-				return fmt.Errorf("durable: snapshotting namespace %q shard %d: %w", c.Name, i, err)
-			}
-			h := sha256.Sum256(buf.Bytes())
-			ent.shards[i] = shardEntry{size: int64(buf.Len()), hash: h}
-			if prev != nil && h == prev.shards[i].hash {
-				c.CPVersions[i] = ver
-				continue
-			}
-			writes = append(writes, pendingShard{
-				idx: i, data: buf.Bytes(), hash: h, version: ver,
-				cell: c, nsHseed: c.Store.RoutingSeed(),
-			})
+		ent := nsEntry{name: c.Name}
+		ent.shards, writes, err = render(setOf(newMan.hseed, c.Name), c.Store, c.CPVersions, prev, writes)
+		if err != nil {
+			return err
 		}
 		newMan.nss = append(newMan.nss, ent)
 		manCells = append(manCells, c)
@@ -204,43 +133,12 @@ func (db *DB) checkpoint(tid, psid uint64) error {
 	if db.man != nil && len(writes) == 0 && manifestsEqual(db.man, newMan) {
 		return nil // nothing changed; the manifest bytes would be identical
 	}
-
-	// Commit sequence. Steps 1-2 publish the new shard images under
-	// content-addressed names the old manifest does not reference, so
-	// they are invisible to recovery until step 3-4 swaps the manifest —
-	// the single commit point.
-	cpBytes := 0
-	for _, p := range writes {
-		name := shardFileName(p.idx, p.hash)
-		if p.cell != nil {
-			name = nsShardFileName(p.nsHseed, p.idx, p.hash)
-		}
-		if err := db.writeFileAtomic(name, p.data); err != nil {
-			return fmt.Errorf("durable: publishing shard %d image: %w", p.idx, err)
-		}
-		cpBytes += len(p.data)
-	}
-	if err := db.fs.SyncDir(db.dir); err != nil {
-		return fmt.Errorf("durable: syncing %s: %w", db.dir, err)
-	}
-	manBytes := newMan.encode()
-	if err := db.writeFileAtomic(manifestName, manBytes); err != nil {
-		return fmt.Errorf("durable: publishing manifest: %w", err)
-	}
-	cpBytes += len(manBytes)
-	if err := db.fs.SyncDir(db.dir); err != nil {
-		return fmt.Errorf("durable: syncing %s after manifest swap: %w", db.dir, err)
+	cpBytes, manBytes, err := db.commit(writes, newMan)
+	if err != nil {
+		return err
 	}
 
 	// Committed. Everything below is housekeeping.
-	db.man = newMan
-	for _, p := range writes {
-		if p.cell != nil {
-			p.cell.CPVersions[p.idx] = p.version
-		} else {
-			db.cpVersions[p.idx] = p.version
-		}
-	}
 	for _, c := range manCells {
 		c.Committed = true
 	}
@@ -299,15 +197,10 @@ func (db *DB) sweep() {
 	if err != nil {
 		return
 	}
-	keep := make(map[string]bool, len(db.man.shards)+1)
-	keep[manifestName] = true
-	for i, e := range db.man.shards {
-		keep[shardFileName(i, e.hash)] = true
-	}
-	for _, ns := range db.man.nss {
-		nsHseed := nsRoutingSeed(db.man.hseed, ns.name)
-		for i, e := range ns.shards {
-			keep[nsShardFileName(nsHseed, i, e.hash)] = true
+	keep := map[string]bool{manifestName: true}
+	for _, cs := range db.man.sets() {
+		for i, e := range cs.entries {
+			keep[cs.file(i, e.hash)] = true
 		}
 	}
 	for _, n := range names {
@@ -333,10 +226,7 @@ func (db *DB) wipeRemove(name string) {
 		if size, err := db.fs.Size(p); err == nil && size > 0 {
 			if f, err := db.fs.OpenWrite(p); err == nil {
 				for left := size; left > 0; {
-					n := int64(len(zeros))
-					if n > left {
-						n = left
-					}
+					n := min(int64(len(zeros)), left)
 					if _, err := f.Write(zeros[:n]); err != nil {
 						break
 					}

@@ -25,7 +25,10 @@
 // shards whose version moved — then only those whose canonical bytes
 // actually changed. Incrementality cannot leak history: skipping an
 // unchanged shard reproduces, by definition, the byte-identical file a
-// full rewrite would have produced.
+// full rewrite would have produced. A dirty shard's image is rendered
+// once, into a slice of exactly its size, then hashed and published as
+// is. The default keyspace and every tenant cell are shard sets that
+// share one render, publish, load and verify path (shardset.go).
 //
 // TTL expiry composes with all of this without weakening it: every
 // checkpoint first sweeps the entries already expired at the current

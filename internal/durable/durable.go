@@ -1,12 +1,12 @@
 package durable
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
 	"path"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -132,10 +132,6 @@ type DB struct {
 	// committed image was snapshotted; ShardVersion(i) == cpVersions[i]
 	// means the on-disk image is current.
 	cpVersions []uint64
-	// renderPool recycles the bytes.Buffers that stage shard images
-	// during a checkpoint, so steady-state checkpoints stop paying the
-	// image-sized allocation per dirty shard.
-	renderPool sync.Pool
 
 	dirtyOps    atomic.Uint64 // mutating ops since the last checkpoint
 	checkpoints atomic.Uint64 // committed checkpoints (in-memory stat)
@@ -182,17 +178,9 @@ func Open(dir string, opts *Options) (*DB, error) {
 	if err != nil {
 		return nil, fmt.Errorf("durable: listing %s: %w", dir, err)
 	}
-	hasManifest := false
-	for _, n := range names {
-		if n == manifestName {
-			hasManifest = true
-			break
-		}
-	}
-
 	db := &DB{dir: dir, fs: fs, opts: o, nss: namespace.NewRegistry()}
 	db.m.init(o.Metrics)
-	if hasManifest {
+	if slices.Contains(names, manifestName) {
 		if err := db.recover(o.Seed); err != nil {
 			return nil, err
 		}
@@ -229,7 +217,8 @@ func Open(dir string, opts *Options) (*DB, error) {
 	return db, nil
 }
 
-// recover rebuilds the store from the last committed checkpoint.
+// recover rebuilds the store and every tenant cell from the last
+// committed checkpoint.
 func (db *DB) recover(seed uint64) error {
 	data, err := db.readFile(manifestName)
 	if err != nil {
@@ -239,77 +228,27 @@ func (db *DB) recover(seed uint64) error {
 	if err != nil {
 		return err
 	}
-	readers := make([]io.Reader, len(man.shards))
-	for i, e := range man.shards {
-		img, err := db.readFile(shardFileName(i, e.hash))
-		if err != nil {
-			return fmt.Errorf("durable: shard %d image: %w", i, err)
+	for _, cs := range man.sets() {
+		storeSeed := seed
+		if cs.ns != "" {
+			storeSeed = namespace.DeriveSeed(man.hseed, cs.ns)
 		}
-		if int64(len(img)) != e.size {
-			return fmt.Errorf("durable: shard %d image is %d bytes, manifest says %d",
-				i, len(img), e.size)
-		}
-		if sha256.Sum256(img) != e.hash {
-			return fmt.Errorf("durable: shard %d image hash mismatch", i)
-		}
-		readers[i] = bytes.NewReader(img)
-	}
-	s, err := shard.AssembleStore(man.hseed, readers, seed, nil)
-	if err != nil {
-		return fmt.Errorf("durable: %w", err)
-	}
-	s.SetClock(db.opts.Clock)
-	for _, e := range man.nss {
-		c, err := db.recoverNS(man.hseed, e)
+		s, err := db.load(cs, storeSeed)
 		if err != nil {
 			return err
 		}
-		db.nss.Put(c)
+		if cs.ns == "" {
+			db.store.Store(s)
+			db.cpVersions = versionsOf(s)
+			continue
+		}
+		// Recovered straight from a manifest entry, so this incarnation
+		// is committed by construction.
+		db.nss.Put(&namespace.Cell{Name: cs.ns, Seed: storeSeed, Store: s, Committed: true, CPVersions: versionsOf(s)})
 	}
-	db.store.Store(s)
 	db.man = man
-	db.cpVersions = make([]uint64, s.NumShards())
-	for i := range db.cpVersions {
-		db.cpVersions[i] = s.ShardVersion(i)
-	}
 	db.sweep() // clear debris from any interrupted commit
 	return nil
-}
-
-// recoverNS rebuilds one tenant cell from its committed images,
-// verifying each file against the manifest exactly like the default
-// shards.
-func (db *DB) recoverNS(rootHseed uint64, e nsEntry) (*namespace.Cell, error) {
-	nsHseed := nsRoutingSeed(rootHseed, e.name)
-	readers := make([]io.Reader, len(e.shards))
-	for i, se := range e.shards {
-		img, err := db.readFile(nsShardFileName(nsHseed, i, se.hash))
-		if err != nil {
-			return nil, fmt.Errorf("durable: namespace %q shard %d image: %w", e.name, i, err)
-		}
-		if int64(len(img)) != se.size {
-			return nil, fmt.Errorf("durable: namespace %q shard %d image is %d bytes, manifest says %d",
-				e.name, i, len(img), se.size)
-		}
-		if sha256.Sum256(img) != se.hash {
-			return nil, fmt.Errorf("durable: namespace %q shard %d image hash mismatch", e.name, i)
-		}
-		readers[i] = bytes.NewReader(img)
-	}
-	seed := namespace.DeriveSeed(rootHseed, e.name)
-	st, err := shard.AssembleStore(nsHseed, readers, seed, nil)
-	if err != nil {
-		return nil, fmt.Errorf("durable: namespace %q: %w", e.name, err)
-	}
-	st.SetClock(db.opts.Clock)
-	// Recovered straight from a manifest entry, so this incarnation is
-	// committed by construction.
-	c := &namespace.Cell{Name: e.name, Seed: seed, Store: st, Committed: true}
-	c.CPVersions = make([]uint64, st.NumShards())
-	for i := range c.CPVersions {
-		c.CPVersions[i] = st.ShardVersion(i)
-	}
-	return c, nil
 }
 
 func (db *DB) path(name string) string { return path.Join(db.dir, name) }
@@ -596,66 +535,24 @@ func (db *DB) VerifyCanonical() error {
 	if db.man == nil {
 		return errors.New("durable: no committed checkpoint")
 	}
-	for i := range db.man.shards {
-		ver := db.store.Load().ShardVersion(i)
-		if ver != db.cpVersions[i] {
-			return fmt.Errorf("durable: shard %d has uncheckpointed changes (version %d, committed %d)",
-				i, ver, db.cpVersions[i])
+	// Every committed set must have a live store whose re-rendered
+	// images match the committed files.
+	for _, cs := range db.man.sets() {
+		s, floors := db.store.Load(), db.cpVersions
+		if cs.ns != "" {
+			c := db.nss.Get(cs.ns)
+			if c == nil {
+				return fmt.Errorf("durable: manifest commits namespace %q with no live cell", cs.ns)
+			}
+			s, floors = c.Store, c.CPVersions
 		}
-		var buf bytes.Buffer
-		if _, _, err := db.store.Load().SnapshotShard(i, &buf); err != nil {
-			return fmt.Errorf("durable: rendering shard %d: %w", i, err)
-		}
-		e := db.man.shards[i]
-		if sha256.Sum256(buf.Bytes()) != e.hash {
-			return fmt.Errorf("durable: shard %d canonical image diverges from manifest", i)
-		}
-		disk, err := db.readFile(shardFileName(i, e.hash))
-		if err != nil {
-			return fmt.Errorf("durable: shard %d image: %w", i, err)
-		}
-		if !bytes.Equal(disk, buf.Bytes()) {
-			return fmt.Errorf("durable: shard %d on-disk image is not canonical", i)
+		if err := db.verifySet(cs, s, floors); err != nil {
+			return err
 		}
 	}
-	// Tenant cells: every committed namespace must have a live cell
-	// whose re-rendered images match the committed files, and every
-	// live cell with physical contents must be committed.
-	for _, e := range db.man.nss {
-		c := db.nss.Get(e.name)
-		if c == nil {
-			return fmt.Errorf("durable: manifest commits namespace %q with no live cell", e.name)
-		}
-		nsHseed := nsRoutingSeed(db.man.hseed, e.name)
-		for i := range e.shards {
-			if ver := c.Store.ShardVersion(i); c.CPVersions == nil || ver != c.CPVersions[i] {
-				return fmt.Errorf("durable: namespace %q shard %d has uncheckpointed changes", e.name, i)
-			}
-			var buf bytes.Buffer
-			if _, _, err := c.Store.SnapshotShard(i, &buf); err != nil {
-				return fmt.Errorf("durable: rendering namespace %q shard %d: %w", e.name, i, err)
-			}
-			if sha256.Sum256(buf.Bytes()) != e.shards[i].hash {
-				return fmt.Errorf("durable: namespace %q shard %d canonical image diverges from manifest", e.name, i)
-			}
-			disk, err := db.readFile(nsShardFileName(nsHseed, i, e.shards[i].hash))
-			if err != nil {
-				return fmt.Errorf("durable: namespace %q shard %d image: %w", e.name, i, err)
-			}
-			if !bytes.Equal(disk, buf.Bytes()) {
-				return fmt.Errorf("durable: namespace %q shard %d on-disk image is not canonical", e.name, i)
-			}
-		}
-	}
+	// And every live cell with physical contents must be committed.
 	for _, c := range db.nss.Snapshot() {
-		if db.man.nsAt(c.Name) != nil {
-			continue
-		}
-		phys := 0
-		for i := 0; i < c.Store.NumShards(); i++ {
-			phys += c.Store.ShardLen(i)
-		}
-		if phys > 0 {
+		if db.man.nsAt(c.Name) == nil && physLen(c.Store) > 0 {
 			return fmt.Errorf("durable: namespace %q has uncheckpointed contents", c.Name)
 		}
 	}

@@ -37,11 +37,11 @@ import (
 // physically empty at checkpoint time is excluded entirely:
 // created-then-emptied is byte-identical to never-existed.
 //
-// Shard image files are content-addressed — shardFileName and
-// nsShardFileName derive the name from the image hash (plus, for
-// namespaces, the derived routing seed; never the tenant name) — so a
-// crash can never leave a half-written file under a name the manifest
-// already trusts: the manifest swap is the only commit point.
+// Shard image files are content-addressed — shardSet.file derives the
+// name from the image hash (plus, for namespaces, the derived routing
+// seed; never the tenant name) — so a crash can never leave a
+// half-written file under a name the manifest already trusts: the
+// manifest swap is the only commit point.
 const manifestMagic = "HIDBMF02"
 
 // manifestMagicV1 is the pre-namespace manifest format, accepted on
@@ -91,25 +91,37 @@ func (m *manifest) nsAt(name string) *nsEntry {
 	return nil
 }
 
-// shardFileName returns the content-addressed name of shard i's image:
-// a pure function of (index, image bytes), so the directory listing
-// leaks nothing beyond the contents either.
-func shardFileName(i int, hash [32]byte) string {
-	return fmt.Sprintf("shard-%04d-%016x.img", i, binary.BigEndian.Uint64(hash[:8]))
+// shardSet is one keyspace's shards as the commit engine sees them:
+// the default keyspace (ns == "") or one tenant cell, whose store is
+// routed by hseed.
+type shardSet struct {
+	ns    string
+	hseed uint64
 }
 
-// nsShardFileName returns the name of a namespace shard image. It is
-// addressed by the tenant's DERIVED routing seed and the image hash —
-// the tenant's name never reaches the directory listing, and the seed
-// is one-way, so co-tenants scanning filenames learn nothing.
-func nsShardFileName(nsHseed uint64, i int, hash [32]byte) string {
-	return fmt.Sprintf("ns-%016x-%04d-%016x.img", nsHseed, i, binary.BigEndian.Uint64(hash[:8]))
+// setOf returns the shard set named ns ("" for the default keyspace)
+// under the manifest's root routing seed; a tenant's routing seed is
+// recomputed from the root seed and its name.
+func setOf(rootHseed uint64, ns string) shardSet {
+	if ns == "" {
+		return shardSet{hseed: rootHseed}
+	}
+	return shardSet{ns: ns, hseed: shard.MixSeed(namespace.DeriveSeed(rootHseed, ns))}
 }
 
-// nsRoutingSeed recomputes a committed namespace's routing seed from
-// the manifest's root seed and the tenant name.
-func nsRoutingSeed(rootHseed uint64, name string) uint64 {
-	return shard.MixSeed(namespace.DeriveSeed(rootHseed, name))
+// file returns the content-addressed name of shard i's image. A default
+// shard's name is a pure function of (index, image bytes), so the
+// directory listing leaks nothing beyond the contents either. A tenant
+// shard's is addressed by the tenant's DERIVED routing seed and the
+// image hash — the tenant's name never reaches the directory listing,
+// and the seed is one-way, so co-tenants scanning filenames learn
+// nothing.
+func (s shardSet) file(i int, hash [32]byte) string {
+	h := binary.BigEndian.Uint64(hash[:8])
+	if s.ns == "" {
+		return fmt.Sprintf("shard-%04d-%016x.img", i, h)
+	}
+	return fmt.Sprintf("ns-%016x-%04d-%016x.img", s.hseed, i, h)
 }
 
 // encode renders the manifest with its trailing checksum.
@@ -122,18 +134,18 @@ func (m *manifest) encode() []byte {
 	buf = append(buf, manifestMagic...)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(m.shards)))
 	buf = binary.LittleEndian.AppendUint64(buf, m.hseed)
-	for _, e := range m.shards {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(e.size))
-		buf = append(buf, e.hash[:]...)
+	appendShards := func(es []shardEntry) {
+		for _, e := range es {
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(e.size))
+			buf = append(buf, e.hash[:]...)
+		}
 	}
+	appendShards(m.shards)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(m.nss)))
 	for _, e := range m.nss {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(e.name)))
 		buf = append(buf, e.name...)
-		for _, s := range e.shards {
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(s.size))
-			buf = append(buf, s.hash[:]...)
-		}
+		appendShards(e.shards)
 	}
 	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 }

@@ -10,10 +10,8 @@ package durable
 // where the tenant never existed.
 
 import (
-	"crypto/sha256"
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/namespace"
 	"repro/internal/shard"
@@ -217,56 +215,18 @@ func (db *DB) NSNames() ([]string, error) {
 // committed per-shard image hashes. A tenant absent from the last
 // manifest returns ErrNoNamespace.
 func (db *DB) NSShardHashes(ns string) (nsHseed uint64, entries []ShardHash, err error) {
-	db.cpMu.Lock()
-	defer db.cpMu.Unlock()
-	if db.man == nil {
-		return 0, nil, fmt.Errorf("durable: no committed checkpoint")
-	}
-	e := db.man.nsAt(ns)
-	if e == nil {
+	if ns == "" {
 		return 0, nil, fmt.Errorf("%w: %q", ErrNoNamespace, ns)
 	}
-	entries = make([]ShardHash, len(e.shards))
-	for i, s := range e.shards {
-		entries[i] = ShardHash{Size: s.size, Hash: s.hash}
-	}
-	return nsRoutingSeed(db.man.hseed, ns), entries, nil
+	return db.committedHashes(ns)
 }
 
 // NSShardImage returns the committed canonical image of the named
 // tenant's shard i, verified against the manifest hash. A hash that is
 // no longer current fails with ErrStaleShard.
 func (db *DB) NSShardImage(ns string, i int, hash [32]byte) ([]byte, error) {
-	db.cpMu.Lock()
-	defer db.cpMu.Unlock()
-	if db.man == nil {
-		return nil, fmt.Errorf("durable: no committed checkpoint")
-	}
-	e := db.man.nsAt(ns)
-	if e == nil {
+	if ns == "" {
 		return nil, fmt.Errorf("%w: %q", ErrNoNamespace, ns)
 	}
-	if i < 0 || i >= len(e.shards) {
-		return nil, fmt.Errorf("durable: namespace shard %d out of range, %d shards", i, len(e.shards))
-	}
-	if e.shards[i].hash != hash {
-		return nil, fmt.Errorf("%w: namespace %q shard %d", ErrStaleShard, ns, i)
-	}
-	img, err := db.readFile(nsShardFileName(nsRoutingSeed(db.man.hseed, ns), i, hash))
-	if err != nil {
-		return nil, fmt.Errorf("durable: namespace %q shard %d image: %w", ns, i, err)
-	}
-	if sha256.Sum256(img) != hash {
-		return nil, fmt.Errorf("durable: namespace %q shard %d image corrupt on disk", ns, i)
-	}
-	return img, nil
-}
-
-// sortedNSImages returns nss byte-sorted by name without mutating the
-// caller's slice.
-func sortedNSImages(nss []NSImages) []NSImages {
-	out := make([]NSImages, len(nss))
-	copy(out, nss)
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	return db.committedImage(ns, i, hash)
 }

@@ -14,10 +14,10 @@ package durable
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"errors"
 	"fmt"
-	"io"
+	"slices"
+	"strings"
 
 	"repro/internal/namespace"
 	"repro/internal/shard"
@@ -40,16 +40,7 @@ type ShardHash struct {
 // contents and equal seeds return equal hashes for every shard — the
 // comparison a replica's anti-entropy round starts with.
 func (db *DB) ShardHashes() (hseed uint64, entries []ShardHash, err error) {
-	db.cpMu.Lock()
-	defer db.cpMu.Unlock()
-	if db.man == nil {
-		return 0, nil, errors.New("durable: no committed checkpoint")
-	}
-	entries = make([]ShardHash, len(db.man.shards))
-	for i, e := range db.man.shards {
-		entries[i] = ShardHash{Size: e.size, Hash: e.hash}
-	}
-	return db.man.hseed, entries, nil
+	return db.committedHashes("")
 }
 
 // ShardImage returns the committed canonical image of shard i, which
@@ -58,25 +49,7 @@ func (db *DB) ShardHashes() (hseed uint64, entries []ShardHash, err error) {
 // are verified against the manifest hash before they are returned, so a
 // corrupted file cannot propagate.
 func (db *DB) ShardImage(i int, hash [32]byte) ([]byte, error) {
-	db.cpMu.Lock()
-	defer db.cpMu.Unlock()
-	if db.man == nil {
-		return nil, errors.New("durable: no committed checkpoint")
-	}
-	if i < 0 || i >= len(db.man.shards) {
-		return nil, fmt.Errorf("durable: shard %d out of range, %d shards", i, len(db.man.shards))
-	}
-	if db.man.shards[i].hash != hash {
-		return nil, fmt.Errorf("%w: shard %d", ErrStaleShard, i)
-	}
-	img, err := db.readFile(shardFileName(i, hash))
-	if err != nil {
-		return nil, fmt.Errorf("durable: shard %d image: %w", i, err)
-	}
-	if sha256.Sum256(img) != hash {
-		return nil, fmt.Errorf("durable: shard %d image corrupt on disk", i)
-	}
-	return img, nil
+	return db.committedImage("", i, hash)
 }
 
 // InstallCheckpoint replaces the database's entire state — in memory
@@ -127,16 +100,12 @@ func (db *DB) InstallCheckpointNS(hseed uint64, images [][]byte, nss []NSImages)
 	if db.closed.Load() {
 		return ErrClosed
 	}
-	readers := make([]io.Reader, len(images))
-	for i, img := range images {
-		readers[i] = bytes.NewReader(img)
-	}
-	s, err := shard.AssembleStore(hseed, readers, db.opts.Seed, nil)
+	s, err := db.assemble(hseed, images, db.opts.Seed)
 	if err != nil {
 		return fmt.Errorf("durable: installing checkpoint: %w", err)
 	}
-	s.SetClock(db.opts.Clock)
-	nss = sortedNSImages(nss)
+	nss = slices.Clone(nss)
+	slices.SortFunc(nss, func(a, b NSImages) int { return strings.Compare(a.Name, b.Name) })
 	cells := make([]*namespace.Cell, len(nss))
 	for k, n := range nss {
 		if err := namespace.ValidateName(n.Name); err != nil {
@@ -146,29 +115,28 @@ func (db *DB) InstallCheckpointNS(hseed uint64, images [][]byte, nss []NSImages)
 			return fmt.Errorf("durable: installing checkpoint: duplicate namespace %q", n.Name)
 		}
 		seed := namespace.DeriveSeed(hseed, n.Name)
-		nsReaders := make([]io.Reader, len(n.Images))
-		for i, img := range n.Images {
-			nsReaders[i] = bytes.NewReader(img)
-		}
-		st, err := shard.AssembleStore(shard.MixSeed(seed), nsReaders, seed, nil)
+		st, err := db.assemble(shard.MixSeed(seed), n.Images, seed)
 		if err != nil {
 			return fmt.Errorf("durable: installing namespace %q: %w", n.Name, err)
 		}
-		st.SetClock(db.opts.Clock)
 		cells[k] = &namespace.Cell{Name: n.Name, Seed: seed, Store: st}
 	}
 
 	db.cpMu.Lock()
 	defer db.cpMu.Unlock()
-	newMan := &manifest{hseed: hseed, shards: make([]shardEntry, len(images))}
-	for i, img := range images {
-		newMan.shards[i] = shardEntry{size: int64(len(img)), hash: sha256.Sum256(img)}
+	// Committed files are reusable only under the same routing seed:
+	// a tenant's file names carry its derived seed, and an image's bytes
+	// alone (an empty shard's, say) need not.
+	old := db.man
+	if old != nil && old.hseed != hseed {
+		old = nil
 	}
+	newMan := &manifest{hseed: hseed}
+	var writes []pendingShard
+	newMan.shards, writes = stage(setOf(hseed, ""), images, old.entries(""), writes)
 	for _, n := range nss {
-		ent := nsEntry{name: n.Name, shards: make([]shardEntry, len(n.Images))}
-		for i, img := range n.Images {
-			ent.shards[i] = shardEntry{size: int64(len(img)), hash: sha256.Sum256(img)}
-		}
+		ent := nsEntry{name: n.Name}
+		ent.shards, writes = stage(setOf(hseed, n.Name), n.Images, old.entries(n.Name), writes)
 		newMan.nss = append(newMan.nss, ent)
 	}
 	if db.man != nil && manifestsEqual(db.man, newMan) {
@@ -176,56 +144,17 @@ func (db *DB) InstallCheckpointNS(hseed uint64, images [][]byte, nss []NSImages)
 		// no byte on disk. Leave the live store untouched too.
 		return nil
 	}
-
-	sameShardCount := db.man != nil && len(db.man.shards) == len(newMan.shards)
-	for i, img := range images {
-		if sameShardCount && db.man.shards[i].hash == newMan.shards[i].hash {
-			continue // committed file already has these exact bytes
-		}
-		if err := db.writeFileAtomic(shardFileName(i, newMan.shards[i].hash), img); err != nil {
-			return fmt.Errorf("durable: publishing shard %d image: %w", i, err)
-		}
-	}
-	for k, n := range nss {
-		nsHseed := cells[k].Store.RoutingSeed()
-		var prev *nsEntry
-		if db.man != nil {
-			prev = db.man.nsAt(n.Name)
-		}
-		for i, img := range n.Images {
-			h := newMan.nss[k].shards[i].hash
-			if prev != nil && i < len(prev.shards) && prev.shards[i].hash == h {
-				continue // committed file already has these exact bytes
-			}
-			if err := db.writeFileAtomic(nsShardFileName(nsHseed, i, h), img); err != nil {
-				return fmt.Errorf("durable: publishing namespace %q shard %d image: %w", n.Name, i, err)
-			}
-		}
-	}
-	if err := db.fs.SyncDir(db.dir); err != nil {
-		return fmt.Errorf("durable: syncing %s: %w", db.dir, err)
-	}
-	if err := db.writeFileAtomic(manifestName, newMan.encode()); err != nil {
-		return fmt.Errorf("durable: publishing manifest: %w", err)
-	}
-	if err := db.fs.SyncDir(db.dir); err != nil {
-		return fmt.Errorf("durable: syncing %s after manifest swap: %w", db.dir, err)
+	if _, _, err := db.commit(writes, newMan); err != nil {
+		return err
 	}
 
 	// Committed: publish the new state to readers and reset the
 	// checkpoint bookkeeping to "clean at exactly this image set".
-	db.man = newMan
 	db.store.Store(s)
-	db.cpVersions = make([]uint64, s.NumShards())
-	for i := range db.cpVersions {
-		db.cpVersions[i] = s.ShardVersion(i)
-	}
+	db.cpVersions = versionsOf(s)
 	for _, c := range cells {
 		c.Committed = true // its entry is in the manifest just published
-		c.CPVersions = make([]uint64, c.Store.NumShards())
-		for i := range c.CPVersions {
-			c.CPVersions[i] = c.Store.ShardVersion(i)
-		}
+		c.CPVersions = versionsOf(c.Store)
 	}
 	db.nss.ReplaceAll(cells)
 	db.dirtyOps.Store(0)
@@ -235,26 +164,8 @@ func (db *DB) InstallCheckpointNS(hseed uint64, images [][]byte, nss []NSImages)
 }
 
 // manifestsEqual reports whether two manifests describe the same
-// checkpoint (equal seeds, sizes, hashes, and namespace tables — and
-// therefore equal encoded bytes).
+// checkpoint. The encoding is canonical, so equal bytes are exactly
+// equal seeds, sizes, hashes and namespace tables.
 func manifestsEqual(a, b *manifest) bool {
-	if a.hseed != b.hseed || len(a.shards) != len(b.shards) || len(a.nss) != len(b.nss) {
-		return false
-	}
-	for i := range a.shards {
-		if a.shards[i] != b.shards[i] {
-			return false
-		}
-	}
-	for i := range a.nss {
-		if a.nss[i].name != b.nss[i].name || len(a.nss[i].shards) != len(b.nss[i].shards) {
-			return false
-		}
-		for j := range a.nss[i].shards {
-			if a.nss[i].shards[j] != b.nss[i].shards[j] {
-				return false
-			}
-		}
-	}
-	return true
+	return bytes.Equal(a.encode(), b.encode())
 }

@@ -264,3 +264,59 @@ func TestInstallCheckpointRejectsCorruptImages(t *testing.T) {
 		t.Fatalf("rejected installs performed %d filesystem ops", after-before)
 	}
 }
+
+// TestInstallCheckpointNSNewRoutingSeed installs a primary's tenant
+// into a replica whose own checkpoint, with a tenant of the same name,
+// was made under another routing seed. An empty shard's image does not
+// depend on the seed, so its hash matches the replica's committed one,
+// but its file name carries the tenant's derived seed: the install must
+// still publish it under the primary's seed.
+func TestInstallCheckpointNSNewRoutingSeed(t *testing.T) {
+	fs := NewMemFS()
+	primary := openMem(t, fs, "p", 7)
+	defer primary.Close()
+	replica := openMem(t, fs, "r", 8)
+	for _, db := range []*DB{primary, replica} {
+		if _, err := db.NSPut("t", 1, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hseed, entries, err := primary.ShardHashes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	images := make([][]byte, len(entries))
+	for i, e := range entries {
+		if images[i], err = primary.ShardImage(i, e.Hash); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, nsEntries, err := primary.NSShardHashes("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nsImages := make([][]byte, len(nsEntries))
+	for i, e := range nsEntries {
+		if nsImages[i], err = primary.NSShardImage("t", i, e.Hash); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := replica.InstallCheckpointNS(hseed, images, []NSImages{{Name: "t", Images: nsImages}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := replica.VerifyCanonical(); err != nil {
+		t.Fatalf("installed directory: %v", err)
+	}
+	if err := replica.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sameDir(t, dirBytes(t, fs, "p"), dirBytes(t, fs, "r"))
+	reopened := openMem(t, fs, "r", 8)
+	defer reopened.Close()
+	if v, ok := reopened.NSGet("t", 1); !ok || v != 1 {
+		t.Fatalf("reopened replica: NSGet = %d, %v", v, ok)
+	}
+}

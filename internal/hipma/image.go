@@ -38,93 +38,76 @@ import (
 
 var imageMagic = [8]byte{'H', 'I', 'P', 'M', 'A', 0, 'v', '1'}
 
-type crcWriter struct {
-	w   io.Writer
-	crc uint32
-	n   int64
+// imageHeaderLen is the fixed prefix: magic plus five 8-byte fields.
+const imageHeaderLen = 8 + 5*8
+
+// imageLen is the byte length of an image with the given slot count
+// and tree node count: header, slots, both trees, checksum.
+func imageLen(slots, nodes int) int64 {
+	return imageHeaderLen + 16*int64(slots) + 2*8*int64(nodes) + 4
 }
 
-func (c *crcWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.crc = crc32.Update(c.crc, crc32.IEEETable, p[:n])
-	c.n += int64(n)
-	return n, err
-}
-
-type crcReader struct {
-	r   io.Reader
-	crc uint32
-	n   int64
-}
-
-func (c *crcReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.crc = crc32.Update(c.crc, crc32.IEEETable, p[:n])
-	c.n += int64(n)
-	return n, err
+// ImageSize returns the exact number of bytes WriteTo writes: a pure
+// function of (config, N̂), through the same geometry ReadImage derives,
+// so a caller can length-prefix or allocate for an image before
+// rendering it.
+func (p *PMA) ImageSize() int64 {
+	return imageLen(len(p.slots), p.ranks.Layout().NumNodes())
 }
 
 // WriteTo serializes the PMA's exact memory representation. It
-// implements io.WriterTo.
+// implements io.WriterTo. The checksum sits behind the buffer, so it
+// hashes whole buffered blocks rather than one slot at a time.
 func (p *PMA) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	cw := &crcWriter{w: bw}
+	crc := crc32.NewIEEE()
+	bw := bufio.NewWriterSize(io.MultiWriter(w, crc), 64<<10)
 
-	if _, err := cw.Write(imageMagic[:]); err != nil {
-		return cw.n, err
-	}
-	header := []uint64{
+	var hdr [imageHeaderLen]byte
+	copy(hdr[:], imageMagic[:])
+	for i, v := range []uint64{
 		math.Float64bits(p.cfg.C1),
 		math.Float64bits(p.cfg.CL),
 		uint64(p.cfg.MinTreeNhat),
 		uint64(p.n),
 		uint64(p.nhat),
+	} {
+		binary.LittleEndian.PutUint64(hdr[8+8*i:], v)
 	}
-	for _, v := range header {
-		if err := binary.Write(cw, binary.LittleEndian, v); err != nil {
-			return cw.n, err
-		}
-	}
-	// The array, verbatim: occupied slots and zeroed gaps alike.
-	buf := make([]byte, 16)
+	n, _ := bw.Write(hdr[:])
+	written := int64(n)
+	// The array, verbatim: occupied slots and zeroed gaps alike. A write
+	// error is sticky in bw, so it is checked once, at Flush.
+	var buf [16]byte
 	for _, it := range p.slots {
 		binary.LittleEndian.PutUint64(buf[0:], uint64(it.Key))
 		binary.LittleEndian.PutUint64(buf[8:], uint64(it.Val))
-		if _, err := cw.Write(buf); err != nil {
-			return cw.n, err
-		}
+		n, _ = bw.Write(buf[:])
+		written += int64(n)
 	}
 	// Both trees in physical (vEB) order: BFS index -> physical slot is
 	// the deterministic layout permutation, so dumping physical order
 	// preserves the on-disk representation exactly.
-	if err := p.writeTreePhysical(cw, p.ranks); err != nil {
-		return cw.n, err
+	for _, t := range []*veb.Tree{p.ranks, p.keys} {
+		n, _ = bw.Write(treePhysical(t))
+		written += int64(n)
 	}
-	if err := p.writeTreePhysical(cw, p.keys); err != nil {
-		return cw.n, err
+	if err := bw.Flush(); err != nil {
+		return written - int64(bw.Buffered()), err
 	}
-	crc := cw.crc
-	if err := binary.Write(bw, binary.LittleEndian, crc); err != nil {
-		return cw.n, err
-	}
-	return cw.n + 4, bw.Flush()
+	binary.LittleEndian.PutUint32(buf[:4], crc.Sum32())
+	n, err := w.Write(buf[:4])
+	return written + int64(n), err
 }
 
-func (p *PMA) writeTreePhysical(w io.Writer, t *veb.Tree) error {
+// treePhysical encodes t's nodes in physical order, recovered by
+// inverting the BFS->phys permutation.
+func treePhysical(t *veb.Tree) []byte {
 	n := t.Layout().NumNodes()
-	// Recover physical order by inverting the BFS->phys permutation.
-	phys := make([]int64, n)
+	out := make([]byte, 8*n)
 	for bfs := 1; bfs <= n; bfs++ {
-		phys[t.Layout().Phys(bfs)] = t.Get(bfs)
+		binary.LittleEndian.PutUint64(out[8*t.Layout().Phys(bfs):], uint64(t.Get(bfs)))
 	}
-	buf := make([]byte, 8)
-	for _, v := range phys {
-		binary.LittleEndian.PutUint64(buf, uint64(v))
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	return nil
+	return out
 }
 
 // ReadImage deserializes a PMA image. The seed supplies fresh
@@ -132,49 +115,36 @@ func (p *PMA) writeTreePhysical(w io.Writer, t *veb.Tree) error {
 // preserved because the persisted state's distribution depends only on
 // the logical state, and future coins are independent of the past.
 // io may be nil. The image's checksum and structural invariants are
-// verified before the PMA is returned.
+// verified before the PMA is returned. ReadImage consumes exactly the
+// image's bytes from r — the header fixes the length — so whatever
+// follows the image is left unread for the caller to inspect.
 func ReadImage(r io.Reader, seed uint64, io2 *iomodel.Tracker) (*PMA, error) {
-	cr := &crcReader{r: bufio.NewReader(r)}
-
-	var magic [8]byte
-	if _, err := io.ReadFull(cr, magic[:]); err != nil {
-		return nil, fmt.Errorf("hipma: reading magic: %w", err)
+	var hdr [imageHeaderLen]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, fmt.Errorf("hipma: reading header: %w", err)
 	}
-	if magic != imageMagic {
-		return nil, fmt.Errorf("hipma: bad magic %q", magic[:])
+	if [8]byte(hdr[:8]) != imageMagic {
+		return nil, fmt.Errorf("hipma: bad magic %q", hdr[:8])
 	}
-	var raw [5]uint64
-	for i := range raw {
-		if err := binary.Read(cr, binary.LittleEndian, &raw[i]); err != nil {
-			return nil, fmt.Errorf("hipma: reading header: %w", err)
-		}
-	}
+	field := func(i int) uint64 { return binary.LittleEndian.Uint64(hdr[8+8*i:]) }
 	cfg := Config{
-		C1:          math.Float64frombits(raw[0]),
-		CL:          math.Float64frombits(raw[1]),
-		MinTreeNhat: int(int64(raw[2])),
+		C1:          math.Float64frombits(field(0)),
+		CL:          math.Float64frombits(field(1)),
+		MinTreeNhat: int(int64(field(2))),
 	}
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	n := int(int64(raw[3]))
-	nhat := int(int64(raw[4]))
-	if n < 0 {
-		return nil, fmt.Errorf("hipma: negative n %d in image", n)
-	}
+	n := int(int64(field(3)))
+	nhat := int(int64(field(4)))
 	// A plausibility ceiling keeps the geometry arithmetic below far
 	// from overflow on a hostile header; real images are nowhere near.
 	if n > 1<<48 {
 		return nil, fmt.Errorf("hipma: implausible n %d in image", n)
 	}
-	switch {
-	case n == 0 && nhat != 0, n == 1 && nhat != 1:
-		return nil, fmt.Errorf("hipma: Nhat %d invalid for n=%d", nhat, n)
-	case n >= 2 && (nhat < n || nhat > 2*n-1):
-		return nil, fmt.Errorf("hipma: Nhat %d outside [n, 2n-1] for n=%d", nhat, n)
-	}
 
 	p := &PMA{cfg: cfg, rng: xrand.New(seed), io: io2}
+	// RestoreSizer rejects a negative n and an N̂ outside its support.
 	sizer, err := hialloc.RestoreSizer(n, nhat, p.rng.Split())
 	if err != nil {
 		return nil, err
@@ -183,7 +153,18 @@ func ReadImage(r io.Reader, seed uint64, io2 *iomodel.Tracker) (*PMA, error) {
 	p.nhat = nhat
 	p.h, p.leafSlots, p.cand = p.geometry(nhat)
 	ns := (1 << uint(p.h)) * p.leafSlots
+	if p.leafSlots < 1 || ns>>uint(p.h) != p.leafSlots {
+		return nil, fmt.Errorf("hipma: implausible geometry h=%d, %d slots per leaf", p.h, p.leafSlots)
+	}
 	p.n = n
+
+	// Only the rest of this image is buffered, so the reader never
+	// consumes bytes that belong to whatever follows it.
+	crc := crc32.NewIEEE()
+	crc.Write(hdr[:])
+	nodes := 1<<uint(p.h+1) - 1
+	br := bufio.NewReader(io.LimitReader(r, imageLen(ns, nodes)-imageHeaderLen))
+	cr := io.TeeReader(br, crc)
 
 	// The slot array is grown as bytes actually arrive rather than
 	// allocated to the header-declared size up front, so a corrupt or
@@ -206,19 +187,18 @@ func ReadImage(r io.Reader, seed uint64, io2 *iomodel.Tracker) (*PMA, error) {
 	}
 	layout := veb.NewLayout(p.h + 1)
 	p.ranks = veb.NewTree(layout, int64(ns), io2)
-	p.keys = veb.NewTree(layout, int64(ns)+int64(layout.NumNodes()), io2)
+	p.keys = veb.NewTree(layout, int64(ns)+int64(nodes), io2)
 	if err := readTreePhysical(cr, p.ranks); err != nil {
 		return nil, err
 	}
 	if err := readTreePhysical(cr, p.keys); err != nil {
 		return nil, err
 	}
-	wantCRC := cr.crc
-	var gotCRC uint32
-	if err := binary.Read(cr.r, binary.LittleEndian, &gotCRC); err != nil {
+	wantCRC := crc.Sum32()
+	if _, err := io.ReadFull(br, buf[:4]); err != nil {
 		return nil, fmt.Errorf("hipma: reading checksum: %w", err)
 	}
-	if gotCRC != wantCRC {
+	if gotCRC := binary.LittleEndian.Uint32(buf); gotCRC != wantCRC {
 		return nil, fmt.Errorf("hipma: checksum mismatch: image %08x, computed %08x", gotCRC, wantCRC)
 	}
 	if err := p.CheckInvariants(); err != nil {
@@ -227,18 +207,16 @@ func ReadImage(r io.Reader, seed uint64, io2 *iomodel.Tracker) (*PMA, error) {
 	return p, nil
 }
 
+// readTreePhysical fills t from its physical-order encoding, the
+// inverse of treePhysical.
 func readTreePhysical(r io.Reader, t *veb.Tree) error {
 	n := t.Layout().NumNodes()
-	phys := make([]int64, n)
-	buf := make([]byte, 8)
-	for i := range phys {
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return fmt.Errorf("hipma: reading tree node %d: %w", i, err)
-		}
-		phys[i] = int64(binary.LittleEndian.Uint64(buf))
+	buf := make([]byte, 8*n)
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return fmt.Errorf("hipma: reading tree: %w", err)
 	}
 	for bfs := 1; bfs <= n; bfs++ {
-		t.Set(bfs, phys[t.Layout().Phys(bfs)])
+		t.Set(bfs, int64(binary.LittleEndian.Uint64(buf[8*t.Layout().Phys(bfs):])))
 	}
 	return nil
 }

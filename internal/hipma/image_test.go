@@ -2,6 +2,8 @@ package hipma
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"testing"
 
 	"repro/internal/xrand"
@@ -138,6 +140,14 @@ func TestImageRejectsCorruption(t *testing.T) {
 	bad[41] = 0x00
 	if _, err := ReadImage(bytes.NewReader(bad), 1, nil); err == nil {
 		t.Error("implausible Nhat accepted")
+	}
+	// A CL so large that the slot count N_S = 2^h * ceil(CL * log N̂)
+	// overflows int to a negative value: an error, not a panic.
+	bad = append([]byte(nil), good...)
+	cl := float64(uint64(1)<<(63-p.Height())) / math.Log2(float64(p.Nhat()))
+	binary.LittleEndian.PutUint64(bad[16:], math.Float64bits(cl))
+	if _, err := ReadImage(bytes.NewReader(bad), 1, nil); err == nil {
+		t.Error("overflowing slot count accepted")
 	}
 }
 

@@ -54,5 +54,6 @@
 // SnapshotShard to persist only the shards that changed since the last
 // checkpoint — incrementality stays history independent because each
 // shard's canonical image is a pure function of (contents, seed), never
-// of which operations dirtied it.
+// of which operations dirtied it. SnapshotShard renders the image once,
+// into a slice of exactly its size; WriteShard streams it.
 package shard

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -23,9 +22,9 @@ import (
 // own checksum, see hipma.WriteTo): the data dictionary, then the TTL
 // expiry index (key -> absolute expiry for exactly the keys that have
 // one; empty when no TTLs are in play). The data image is length-
-// prefixed (u64 little-endian) so each part is read through its own
-// bounded reader — the PMA image reader buffers, so back-to-back images
-// cannot share one stream.
+// prefixed (u64 little-endian). Each PMA image's header fixes its
+// length, so the reader consumes the pair exactly and checks that the
+// prefix agrees.
 //
 // The persisted shard images are CANONICAL: WriteTo does not dump the
 // in-memory incarnation (whose layout depends on the random stream the
@@ -59,51 +58,58 @@ func canonExpSeed(hseed uint64, i int) uint64 {
 	return mix(canonSeed(hseed, i) ^ 0x7ee150deadc0ffee)
 }
 
-// canonicalDictImage writes the canonical image of one dictionary: a
+// canonicalPMA returns the canonical form of one dictionary: a
 // one-shot bulk load of its current sorted contents under the given
-// seed. The caller holds the owning cell's lock.
-func canonicalDictImage(d *cobt.Dictionary, cfg hipma.Config, seed uint64, w io.Writer) (int64, error) {
+// seed. The caller holds the owning cell's lock; the result shares
+// nothing with the dictionary.
+func canonicalPMA(d *cobt.Dictionary, cfg hipma.Config, seed uint64) (*hipma.PMA, error) {
 	var items []Item
 	if n := d.Len(); n > 0 {
 		items = d.PMA().Query(0, n-1, nil)
 	}
-	canon, err := hipma.BulkLoadWithConfig(cfg, items, seed, nil)
-	if err != nil {
-		return 0, err
-	}
-	return canon.WriteTo(w)
+	return hipma.BulkLoadWithConfig(cfg, items, seed, nil)
 }
 
-// canonicalShardImage writes the canonical image of shard c: the data
-// dictionary's bulk-loaded image (length-prefixed) followed by the
-// expiry index's. The caller holds c's lock.
-func canonicalShardImage(c *cell, cfg hipma.Config, hseed uint64, i int, w io.Writer) (int64, error) {
-	var data bytes.Buffer
-	if _, err := canonicalDictImage(c.dict, cfg, canonSeed(hseed, i), &data); err != nil {
-		return 0, err
+// shardImage is shard i's canonical image pair, ready to serialize.
+type shardImage struct{ data, exps *hipma.PMA }
+
+// canonicalShard renders shard c's canonical image pair: the data
+// dictionary and the expiry index, each bulk-loaded under its own
+// seed. The caller holds c's lock.
+func canonicalShard(c *cell, cfg hipma.Config, hseed uint64, i int) (shardImage, error) {
+	data, err := canonicalPMA(c.dict, cfg, canonSeed(hseed, i))
+	if err != nil {
+		return shardImage{}, err
 	}
-	var lenHdr [8]byte
-	binary.LittleEndian.PutUint64(lenHdr[:], uint64(data.Len()))
-	total := int64(0)
-	n, err := w.Write(lenHdr[:])
-	total += int64(n)
+	exps, err := canonicalPMA(c.exps, cfg, canonExpSeed(hseed, i))
+	return shardImage{data, exps}, err
+}
+
+// size is the exact length writeTo writes.
+func (im shardImage) size() int64 { return 8 + im.data.ImageSize() + im.exps.ImageSize() }
+
+// writeTo streams the pair: the data image's length prefix, known up
+// front from ImageSize, then both images. framed prefixes the whole
+// pair with its own length, as the container format does.
+func (im shardImage) writeTo(w io.Writer, framed bool) (int64, error) {
+	var hdr []byte
+	if framed {
+		hdr = binary.LittleEndian.AppendUint64(hdr, uint64(im.size()))
+	}
+	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(im.data.ImageSize()))
+	n, err := w.Write(hdr)
+	total := int64(n)
 	if err != nil {
 		return total, err
 	}
-	n64, err := data.WriteTo(w)
+	n64, err := im.data.WriteTo(w)
 	total += n64
 	if err != nil {
 		return total, err
 	}
-	n64, err = canonicalDictImage(c.exps, cfg, canonExpSeed(hseed, i), w)
+	n64, err = im.exps.WriteTo(w)
 	return total + n64, err
 }
-
-// maxDictImageLen bounds the data-part length accepted from an
-// untrusted shard image; the PMA reader's own incremental allocation
-// bounds memory, this just rejects absurd prefixes before wrapping a
-// reader around them.
-const maxDictImageLen = int64(1) << 48
 
 // readShardImage reads one shard's canonical image pair from r,
 // returning the data dictionary and the expiry index.
@@ -112,21 +118,14 @@ func readShardImage(r io.Reader, seed uint64, i int, t *iomodel.Tracker) (dict, 
 	if _, err := io.ReadFull(r, lenHdr[:]); err != nil {
 		return nil, nil, fmt.Errorf("reading data image length: %w", err)
 	}
-	dataLen := int64(binary.LittleEndian.Uint64(lenHdr[:]))
-	if dataLen < 0 || dataLen > maxDictImageLen {
-		return nil, nil, fmt.Errorf("implausible data image length %d", dataLen)
-	}
-	dlr := io.LimitReader(r, dataLen)
-	dict, err = cobt.ReadDictionary(dlr, shardSeed(seed, i), t)
+	dict, err = cobt.ReadDictionary(r, shardSeed(seed, i), t)
 	if err != nil {
 		return nil, nil, err
 	}
-	// The data image must fill its declared length exactly, or the
-	// expiry read below would start misaligned.
-	if extra, err := io.Copy(io.Discard, dlr); err != nil {
-		return nil, nil, err
-	} else if extra > 0 {
-		return nil, nil, fmt.Errorf("%d trailing bytes after data image", extra)
+	// The reader consumed exactly the data image, whose header fixes
+	// its length; the prefix must state that same length.
+	if n, want := binary.LittleEndian.Uint64(lenHdr[:]), dict.PMA().ImageSize(); n != uint64(want) {
+		return nil, nil, fmt.Errorf("data image length prefix %d, image is %d bytes", n, want)
 	}
 	exps, err = cobt.ReadDictionary(r, expShardSeed(seed, i), nil)
 	if err != nil {
@@ -144,28 +143,18 @@ func (s *Store) WriteTo(w io.Writer) (int64, error) {
 	copy(hdr[:8], storeMagic)
 	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(s.cells)))
 	binary.LittleEndian.PutUint64(hdr[16:], s.hseed)
-	total := int64(0)
 	n, err := w.Write(hdr[:])
-	total += int64(n)
+	total := int64(n)
 	if err != nil {
 		return total, err
 	}
 	for i := range s.cells {
-		// The length prefix needs the image size up front, so render the
-		// canonical shard image to memory first (it is 1/S of the store).
-		var buf bytes.Buffer
-		if _, err := canonicalShardImage(&s.cells[i], s.cfg, s.hseed, i, &buf); err != nil {
-			return total, err
-		}
-		var lenHdr [8]byte
-		binary.LittleEndian.PutUint64(lenHdr[:], uint64(buf.Len()))
-		n, err := w.Write(lenHdr[:])
-		total += int64(n)
+		im, err := canonicalShard(&s.cells[i], s.cfg, s.hseed, i)
 		if err != nil {
 			return total, err
 		}
-		n64, err := buf.WriteTo(w)
-		total += n64
+		n, err := im.writeTo(w, true)
+		total += n
 		if err != nil {
 			return total, err
 		}
@@ -173,36 +162,58 @@ func (s *Store) WriteTo(w io.Writer) (int64, error) {
 	return total, nil
 }
 
+// snapshot renders shard i's canonical image pair and reads its version
+// counter under one lock hold. The pair shares nothing with the live
+// shard, so it is serialized after the lock is released.
+func (s *Store) snapshot(i int) (version uint64, im shardImage, err error) {
+	if i < 0 || i >= len(s.cells) {
+		return 0, im, fmt.Errorf("shard: shard %d out of range, %d shards", i, len(s.cells))
+	}
+	c := &s.cells[i]
+	c.rlock()
+	defer c.runlock()
+	im, err = canonicalShard(c, s.cfg, s.hseed, i)
+	return c.version, im, err
+}
+
 // WriteShard serializes shard i's canonical image alone (no container
 // header): a pure function of the shard's contents and the store seed,
 // byte-identical across any two operation histories that reach the same
 // contents.
 func (s *Store) WriteShard(i int, w io.Writer) (int64, error) {
-	if i < 0 || i >= len(s.cells) {
-		return 0, fmt.Errorf("shard: WriteShard(%d) out of range, %d shards", i, len(s.cells))
+	_, im, err := s.snapshot(i)
+	if err != nil {
+		return 0, err
 	}
-	c := &s.cells[i]
-	c.rlock()
-	defer c.runlock()
-	return canonicalShardImage(c, s.cfg, s.hseed, i, w)
+	return im.writeTo(w, false)
 }
 
-// SnapshotShard writes shard i's canonical image to w, like WriteShard,
-// and additionally returns the shard's version counter at the moment of
-// the snapshot. The version and the image are captured under the same
-// lock hold, so a later ShardVersion(i) == version guarantees the image
-// still describes the shard's exact contents — the contract an
-// incremental checkpointer needs.
-func (s *Store) SnapshotShard(i int, w io.Writer) (version uint64, written int64, err error) {
-	if i < 0 || i >= len(s.cells) {
-		return 0, 0, fmt.Errorf("shard: SnapshotShard(%d) out of range, %d shards", i, len(s.cells))
+// SnapshotShard returns shard i's canonical image, the bytes WriteShard
+// writes, rendered once into a slice of exactly its size, together
+// with the shard's version counter at the moment of the snapshot. The
+// version and the image are captured under the same lock hold, so a
+// later ShardVersion(i) == version guarantees the image still describes
+// the shard's exact contents — the contract an incremental
+// checkpointer needs.
+func (s *Store) SnapshotShard(i int) (version uint64, img []byte, err error) {
+	version, im, err := s.snapshot(i)
+	if err != nil {
+		return 0, nil, err
 	}
-	c := &s.cells[i]
-	c.rlock()
-	defer c.runlock()
-	version = c.version
-	written, err = canonicalShardImage(c, s.cfg, s.hseed, i, w)
-	return version, written, err
+	w := sliceWriter(make([]byte, 0, im.size()))
+	if _, err := im.writeTo(&w, false); err != nil {
+		return 0, nil, err
+	}
+	return version, w, nil
+}
+
+// sliceWriter appends to its slice; SnapshotShard sizes it up front so
+// the append never reallocates.
+type sliceWriter []byte
+
+func (w *sliceWriter) Write(p []byte) (int, error) {
+	*w = append(*w, p...)
+	return len(p), nil
 }
 
 // AssembleStore rebuilds a store from one canonical image per shard (as
@@ -219,35 +230,7 @@ func AssembleStore(hseed uint64, images []io.Reader, seed uint64, trackers []*io
 	if nsh < 1 || nsh&(nsh-1) != 0 {
 		return nil, fmt.Errorf("shard: %d shard images is not a power of two >= 1", nsh)
 	}
-	if trackers != nil && len(trackers) != nsh {
-		return nil, fmt.Errorf("shard: %d trackers for %d shard images", len(trackers), nsh)
-	}
-	s := &Store{mask: uint64(nsh - 1), hseed: hseed, cells: make([]cell, nsh)}
-	for i, r := range images {
-		var t *iomodel.Tracker
-		if trackers != nil {
-			t = trackers[i]
-		}
-		d, e, err := readShardImage(r, seed, i, t)
-		if err != nil {
-			return nil, fmt.Errorf("shard: shard %d: %w", i, err)
-		}
-		// The pair must fill its image exactly; trailing bytes mean a
-		// corrupt or truncated-and-padded file.
-		if extra, err := io.Copy(io.Discard, r); err != nil {
-			return nil, fmt.Errorf("shard: shard %d: %w", i, err)
-		} else if extra > 0 {
-			return nil, fmt.Errorf("shard: shard %d: %d trailing bytes after image", i, extra)
-		}
-		s.cells[i].dict = d
-		s.cells[i].exps = e
-		s.cells[i].io = t
-	}
-	s.cfg = s.cells[0].dict.PMA().Config()
-	if err := s.CheckInvariants(); err != nil {
-		return nil, fmt.Errorf("shard: corrupt shard images: %w", err)
-	}
-	return s, nil
+	return assemble(hseed, nsh, func(i int) (io.Reader, error) { return images[i], nil }, seed, trackers)
 }
 
 // ReadStore deserializes a store image produced by WriteTo. The routing
@@ -264,34 +247,41 @@ func ReadStore(r io.Reader, seed uint64, trackers []*iomodel.Tracker) (*Store, e
 	if string(hdr[:8]) != storeMagic {
 		return nil, fmt.Errorf("shard: bad magic %q", hdr[:8])
 	}
-	nsh64 := binary.LittleEndian.Uint64(hdr[8:])
-	hseed := binary.LittleEndian.Uint64(hdr[16:])
-	if nsh64 < 1 || nsh64 > maxImageShards || nsh64&(nsh64-1) != 0 {
-		return nil, fmt.Errorf("shard: implausible shard count %d", nsh64)
+	nsh := binary.LittleEndian.Uint64(hdr[8:])
+	if nsh < 1 || nsh > maxImageShards || nsh&(nsh-1) != 0 {
+		return nil, fmt.Errorf("shard: implausible shard count %d", nsh)
 	}
-	nsh := int(nsh64)
-	if trackers != nil && len(trackers) != nsh {
-		return nil, fmt.Errorf("shard: %d trackers for %d stored shards", len(trackers), nsh)
-	}
-	s := &Store{mask: nsh64 - 1, hseed: hseed, cells: make([]cell, nsh)}
-	for i := 0; i < nsh; i++ {
-		var lenHdr [8]byte
-		if _, err := io.ReadFull(r, lenHdr[:]); err != nil {
-			return nil, fmt.Errorf("shard: reading shard %d length: %w", i, err)
+	return assemble(binary.LittleEndian.Uint64(hdr[16:]), int(nsh), func(int) (io.Reader, error) {
+		if _, err := io.ReadFull(r, hdr[:8]); err != nil {
+			return nil, fmt.Errorf("reading length: %w", err)
 		}
-		imgLen := binary.LittleEndian.Uint64(lenHdr[:])
+		return io.LimitReader(r, int64(binary.LittleEndian.Uint64(hdr[:8]))), nil
+	}, seed, trackers)
+}
+
+// assemble reads a store of nsh shards routed by hseed, shard i's image
+// pair from next(i), and verifies it. Each image must end exactly where
+// its reader does: trailing bytes mean a corrupt or padded file, and in
+// a container they would misalign every later shard's length header.
+func assemble(hseed uint64, nsh int, next func(i int) (io.Reader, error), seed uint64, trackers []*iomodel.Tracker) (*Store, error) {
+	if trackers != nil && len(trackers) != nsh {
+		return nil, fmt.Errorf("shard: %d trackers for %d shards", len(trackers), nsh)
+	}
+	s := &Store{mask: uint64(nsh - 1), hseed: hseed, cells: make([]cell, nsh)}
+	for i := range s.cells {
 		var t *iomodel.Tracker
 		if trackers != nil {
 			t = trackers[i]
 		}
-		lr := io.LimitReader(r, int64(imgLen))
-		d, e, err := readShardImage(lr, seed, i, t)
+		r, err := next(i)
 		if err != nil {
 			return nil, fmt.Errorf("shard: shard %d: %w", i, err)
 		}
-		// The shard image must fill its declared length exactly; trailing
-		// bytes would misalign every later shard's length header.
-		if extra, err := io.Copy(io.Discard, lr); err != nil {
+		d, e, err := readShardImage(r, seed, i, t)
+		if err != nil {
+			return nil, fmt.Errorf("shard: shard %d: %w", i, err)
+		}
+		if extra, err := io.Copy(io.Discard, r); err != nil {
 			return nil, fmt.Errorf("shard: shard %d: %w", i, err)
 		} else if extra > 0 {
 			return nil, fmt.Errorf("shard: shard %d: %d trailing bytes after image", i, extra)

@@ -2,8 +2,10 @@ package shard
 
 import (
 	"bytes"
+	"io"
 	"testing"
 
+	"repro/internal/hipma"
 	"repro/internal/iomodel"
 	"repro/internal/xrand"
 )
@@ -212,6 +214,25 @@ func TestStoreImageRejectsCorruption(t *testing.T) {
 	if _, err := ReadStore(bytes.NewReader(bad), 1, nil); err == nil {
 		t.Error("corrupted routing seed accepted")
 	}
+	// Junk appended to one shard's image: AssembleStore must see it
+	// however little there is, not just what a reader failed to
+	// buffer past the expiry image.
+	for _, junk := range []int{1, 100} {
+		images := make([]io.Reader, s.NumShards())
+		for i := range images {
+			var img bytes.Buffer
+			if _, err := s.WriteShard(i, &img); err != nil {
+				t.Fatal(err)
+			}
+			if i == 2 {
+				img.Write(make([]byte, junk))
+			}
+			images[i] = &img
+		}
+		if _, err := AssembleStore(s.RoutingSeed(), images, 1, nil); err == nil {
+			t.Errorf("%d junk bytes after a shard image accepted", junk)
+		}
+	}
 }
 
 // TestStoreImageTrackers: a store reloaded with trackers resumes DAM
@@ -236,5 +257,47 @@ func TestStoreImageTrackers(t *testing.T) {
 	}
 	if q.Stats().Reads == 0 {
 		t.Fatal("no reads recorded on a tracker-reloaded store")
+	}
+}
+
+// TestImageSizeMatchesRender checks, over the golden stores, that the
+// sizes the render path allocates and length-prefixes from are exact:
+// each hipma image's ImageSize equals the bytes its WriteTo writes, and
+// SnapshotShard returns exactly WriteShard's bytes.
+func TestImageSizeMatchesRender(t *testing.T) {
+	for _, gc := range goldenCases {
+		s := gc.build(t)
+		for i := 0; i < s.NumShards(); i++ {
+			im, err := canonicalShard(&s.cells[i], s.cfg, s.hseed, i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for part, p := range map[string]*hipma.PMA{"data": im.data, "expiry": im.exps} {
+				var buf bytes.Buffer
+				n, err := p.WriteTo(&buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n != int64(buf.Len()) || p.ImageSize() != n {
+					t.Errorf("%s: shard %d %s image: ImageSize %d, WriteTo reported %d and wrote %d",
+						gc.name, i, part, p.ImageSize(), n, buf.Len())
+				}
+			}
+			var want bytes.Buffer
+			if _, err := s.WriteShard(i, &want); err != nil {
+				t.Fatal(err)
+			}
+			ver, img, err := s.SnapshotShard(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(img, want.Bytes()) || int64(len(img)) != im.size() || cap(img) != len(img) {
+				t.Errorf("%s: shard %d: SnapshotShard gave %d bytes (cap %d), WriteShard %d, size %d",
+					gc.name, i, len(img), cap(img), want.Len(), im.size())
+			}
+			if ver != s.ShardVersion(i) {
+				t.Errorf("%s: shard %d: snapshot version %d, shard at %d", gc.name, i, ver, s.ShardVersion(i))
+			}
+		}
 	}
 }
